@@ -85,12 +85,6 @@ impl TrainingEnvelope {
     }
 }
 
-/// Rows per strip in the columnar kernel's inner loops
-/// ([`PowerModel::predict_raw_columns_into`]). Eight f64 lanes span a
-/// full AVX-512 register and two AVX2 ones; the tail under one strip
-/// runs scalar.
-pub const COLUMN_CHUNK: usize = 8;
-
 /// A fitted Equation 1 power model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PowerModel {
@@ -190,15 +184,12 @@ impl PowerModel {
         })
     }
 
-    /// Predicted power for one sample row, watts.
+    /// Predicted power for one sample row, watts — [`Self::predict_raw`]
+    /// over the row's rates for [`Self::events`].
     pub fn predict_row(&self, row: &SampleRow) -> f64 {
-        let design = Self::design_row(row, &self.events);
-        let mut p = 0.0;
-        for (a, d) in self.alpha.iter().zip(&design) {
-            p += a * d;
-        }
-        let k = self.events.len();
-        p + self.beta * design[k] + self.gamma * design[k + 1] + self.delta
+        let rates: Vec<f64> = self.events.iter().map(|&e| row.rate(e)).collect();
+        self.predict_raw(&rates, row.voltage, row.freq_mhz)
+            .expect("rates are built from the model's own events")
     }
 
     /// Predicted power for every row of a dataset.
@@ -206,8 +197,12 @@ impl PowerModel {
         data.rows().iter().map(|r| self.predict_row(r)).collect()
     }
 
-    /// Predicts from raw inputs, for online estimation without a full
-    /// [`SampleRow`]: `rates` must align with [`Self::events`].
+    /// The Equation 1 kernel, from raw inputs: `rates` must align with
+    /// [`Self::events`]. Every prediction — offline, online, served —
+    /// runs this arithmetic in this order: the base term
+    /// `β·V²f + γ·V + δ` first, then `(αₙ·rₙ)·V²f` added in event
+    /// order. Replies are checked against it bit for bit, so the order
+    /// is part of the contract.
     pub fn predict_raw(&self, rates: &[f64], voltage: f64, freq_mhz: u32) -> Result<f64> {
         if rates.len() != self.events.len() {
             return Err(ModelError::BadDataset {
@@ -221,151 +216,6 @@ impl PowerModel {
             p += a * r * v2f;
         }
         Ok(p)
-    }
-
-    /// Predicted power for a batch of rows, watts. The hot path for
-    /// serving: coefficients are hoisted once and no per-row design
-    /// vector is materialized.
-    pub fn predict_batch(&self, rows: &[SampleRow]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(rows.len());
-        self.predict_batch_into(rows, &mut out);
-        out
-    }
-
-    /// Batch prediction into a caller-owned buffer (cleared first), so
-    /// a long-running estimator allocates nothing per batch.
-    pub fn predict_batch_into(&self, rows: &[SampleRow], out: &mut Vec<f64>) {
-        out.clear();
-        out.reserve(rows.len());
-        let alpha = &self.alpha[..self.events.len()];
-        for row in rows {
-            let v2f = row.v2f();
-            let mut p = self.beta * v2f + self.gamma * row.voltage + self.delta;
-            for (a, &e) in alpha.iter().zip(&self.events) {
-                p += a * row.rate(e) * v2f;
-            }
-            out.push(p);
-        }
-    }
-
-    /// Batched counterpart of [`Self::predict_raw`]: `rates` is laid
-    /// out row-major (`points.len() * events.len()` values, each row
-    /// aligned with [`Self::events`]) and `points` carries one
-    /// `(voltage, freq_mhz)` operating point per row.
-    ///
-    /// Each row runs exactly the arithmetic of `predict_raw`, in the
-    /// same operation order, so the results are bitwise identical to
-    /// calling `predict_raw` once per row — a batching layer on top of
-    /// this entry point can never change the numbers.
-    pub fn predict_raw_batch_into(
-        &self,
-        rates: &[f64],
-        points: &[(f64, u32)],
-        out: &mut Vec<f64>,
-    ) -> Result<()> {
-        let width = self.events.len();
-        if rates.len() != points.len() * width {
-            return Err(ModelError::BadDataset {
-                what: "predict_raw_batch",
-                reason: format!(
-                    "expected {} rates for {} rows of width {}, got {}",
-                    points.len() * width,
-                    points.len(),
-                    width,
-                    rates.len()
-                ),
-            });
-        }
-        out.clear();
-        out.reserve(points.len());
-        let alpha = &self.alpha[..width];
-        for (i, &(voltage, freq_mhz)) in points.iter().enumerate() {
-            let row = &rates[i * width..(i + 1) * width];
-            let v2f = voltage * voltage * (freq_mhz as f64 / 1000.0);
-            let mut p = self.beta * v2f + self.gamma * voltage + self.delta;
-            for (a, r) in alpha.iter().zip(row) {
-                p += a * r * v2f;
-            }
-            out.push(p);
-        }
-        Ok(())
-    }
-
-    /// Column-major counterpart of [`Self::predict_raw_batch_into`]:
-    /// `columns` holds one contiguous run of `points.len()` rates per
-    /// model event (`columns[n * rows + i]` is row `i`'s rate for event
-    /// `n`) — the structure-of-arrays layout the serving tier gathers
-    /// batches into.
-    ///
-    /// The kernel walks events in the outer loop and rows in the inner
-    /// one, in fixed [`COLUMN_CHUNK`]-wide strips the autovectorizer
-    /// can lower to SIMD. Per row, the operation sequence is exactly
-    /// `predict_raw`'s — base term first, then `(αₙ·rₙ)·V²f` added in
-    /// event order — so results stay bitwise identical to the scalar
-    /// row-major path. (Rust does not contract `a*b + c` into a fused
-    /// multiply-add, so each lane performs the same two roundings the
-    /// scalar loop does.)
-    ///
-    /// `v2f` is caller-owned scratch (cleared first) holding the per-
-    /// row `V²f` column, so a long-running estimator allocates nothing
-    /// per batch once its buffers reach steady-state capacity.
-    pub fn predict_raw_columns_into(
-        &self,
-        columns: &[f64],
-        points: &[(f64, u32)],
-        v2f: &mut Vec<f64>,
-        out: &mut Vec<f64>,
-    ) -> Result<()> {
-        let width = self.events.len();
-        let rows = points.len();
-        if columns.len() != rows * width {
-            return Err(ModelError::BadDataset {
-                what: "predict_raw_columns",
-                reason: format!(
-                    "expected {} column values for {} rows of width {}, got {}",
-                    rows * width,
-                    rows,
-                    width,
-                    columns.len()
-                ),
-            });
-        }
-        v2f.clear();
-        v2f.reserve(rows);
-        out.clear();
-        out.reserve(rows);
-        // Base term + V²f column, one pass in row order.
-        for &(voltage, freq_mhz) in points {
-            let f = voltage * voltage * (freq_mhz as f64 / 1000.0);
-            v2f.push(f);
-            out.push(self.beta * f + self.gamma * voltage + self.delta);
-        }
-        // Counter terms: events outer, rows inner, chunked strips.
-        let alpha = &self.alpha[..width];
-        for (n, &a) in alpha.iter().enumerate() {
-            let col = &columns[n * rows..(n + 1) * rows];
-            let mut i = 0;
-            while i + COLUMN_CHUNK <= rows {
-                // Fixed-size array views: the lane count is a compile
-                // time constant, so every bounds check vanishes and
-                // the loop lowers to straight-line SIMD.
-                let acc: &mut [f64; COLUMN_CHUNK] =
-                    (&mut out[i..i + COLUMN_CHUNK]).try_into().expect("strip");
-                let rate: &[f64; COLUMN_CHUNK] =
-                    col[i..i + COLUMN_CHUNK].try_into().expect("strip");
-                let scale: &[f64; COLUMN_CHUNK] =
-                    v2f[i..i + COLUMN_CHUNK].try_into().expect("strip");
-                for lane in 0..COLUMN_CHUNK {
-                    acc[lane] += a * rate[lane] * scale[lane];
-                }
-                i += COLUMN_CHUNK;
-            }
-            while i < rows {
-                out[i] += a * col[i] * v2f[i];
-                i += 1;
-            }
-        }
-        Ok(())
     }
 
     /// Serializes the model to JSON (deployable artifact).
@@ -501,109 +351,6 @@ mod tests {
     }
 
     #[test]
-    fn predict_raw_batch_bitwise_matches_predict_raw_and_predict_batch() {
-        let d = linear_dataset(64);
-        let m = PowerModel::fit(&d, &FIXTURE_EVENTS).unwrap();
-        let rows = d.rows();
-        let width = m.events.len();
-        let mut rates = Vec::new();
-        let mut points = Vec::new();
-        for row in rows {
-            for &e in &m.events {
-                rates.push(row.rate(e));
-            }
-            points.push((row.voltage, row.freq_mhz));
-        }
-        let mut batched = Vec::new();
-        m.predict_raw_batch_into(&rates, &points, &mut batched)
-            .unwrap();
-        let per_row = m.predict_batch(rows);
-        assert_eq!(batched.len(), rows.len());
-        for (i, row) in rows.iter().enumerate() {
-            let solo = m
-                .predict_raw(
-                    &rates[i * width..(i + 1) * width],
-                    row.voltage,
-                    row.freq_mhz,
-                )
-                .unwrap();
-            assert_eq!(
-                batched[i].to_bits(),
-                solo.to_bits(),
-                "row {i} diverges from predict_raw"
-            );
-            assert_eq!(
-                batched[i].to_bits(),
-                per_row[i].to_bits(),
-                "row {i} diverges from predict_batch"
-            );
-        }
-    }
-
-    #[test]
-    fn predict_raw_columns_bitwise_matches_row_major_batch() {
-        let d = linear_dataset(67); // not a multiple of COLUMN_CHUNK
-        let m = PowerModel::fit(&d, &FIXTURE_EVENTS).unwrap();
-        let rows = d.rows();
-        let width = m.events.len();
-        let mut rates = Vec::new();
-        let mut points = Vec::new();
-        for row in rows {
-            for &e in &m.events {
-                rates.push(row.rate(e));
-            }
-            points.push((row.voltage, row.freq_mhz));
-        }
-        let mut columns = vec![0.0; rates.len()];
-        for i in 0..points.len() {
-            for n in 0..width {
-                columns[n * points.len() + i] = rates[i * width + n];
-            }
-        }
-        let mut row_major = Vec::new();
-        m.predict_raw_batch_into(&rates, &points, &mut row_major)
-            .unwrap();
-        let (mut v2f, mut columnar) = (Vec::new(), Vec::new());
-        m.predict_raw_columns_into(&columns, &points, &mut v2f, &mut columnar)
-            .unwrap();
-        assert_eq!(columnar.len(), row_major.len());
-        for i in 0..columnar.len() {
-            assert_eq!(
-                columnar[i].to_bits(),
-                row_major[i].to_bits(),
-                "row {i} diverges between columnar and row-major kernels"
-            );
-        }
-    }
-
-    #[test]
-    fn predict_raw_columns_rejects_misaligned_columns() {
-        let d = linear_dataset(10);
-        let m = PowerModel::fit(&d, &FIXTURE_EVENTS).unwrap();
-        let (mut v2f, mut out) = (Vec::new(), Vec::new());
-        let err = m
-            .predict_raw_columns_into(
-                &[0.1, 0.2, 0.3],
-                &[(1.0, 2000), (1.0, 2000)],
-                &mut v2f,
-                &mut out,
-            )
-            .unwrap_err();
-        assert!(matches!(err, ModelError::BadDataset { .. }));
-    }
-
-    #[test]
-    fn predict_raw_batch_rejects_misaligned_rates() {
-        let d = linear_dataset(10);
-        let m = PowerModel::fit(&d, &FIXTURE_EVENTS).unwrap();
-        let mut out = Vec::new();
-        let err = m
-            .predict_raw_batch_into(&[0.1, 0.2, 0.3], &[(1.0, 2000), (1.0, 2000)], &mut out)
-            .unwrap_err();
-        assert!(matches!(err, ModelError::BadDataset { .. }), "{err:?}");
-    }
-
-    #[test]
     fn truncated_artifact_is_typed_error_never_panics() {
         let d = linear_dataset(30);
         let m = PowerModel::fit(&d, &FIXTURE_EVENTS).unwrap();
@@ -642,11 +389,12 @@ mod tests {
     fn predict_raw_matches_predict_row() {
         let d = linear_dataset(30);
         let m = PowerModel::fit(&d, &FIXTURE_EVENTS).unwrap();
-        let row = &d.rows()[7];
-        let rates: Vec<f64> = m.events.iter().map(|&e| row.rate(e)).collect();
-        let a = m.predict_row(row);
-        let b = m.predict_raw(&rates, row.voltage, row.freq_mhz).unwrap();
-        assert!((a - b).abs() < 1e-10);
+        for row in d.rows() {
+            let rates: Vec<f64> = m.events.iter().map(|&e| row.rate(e)).collect();
+            let a = m.predict_row(row);
+            let b = m.predict_raw(&rates, row.voltage, row.freq_mhz).unwrap();
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
     }
 
     #[test]
@@ -693,28 +441,6 @@ mod tests {
         }
         assert!((m.beta - back.beta).abs() < 1e-9);
         assert!((m.delta - back.delta).abs() < 1e-9);
-    }
-
-    #[test]
-    fn predict_batch_matches_predict_row() {
-        let d = linear_dataset(40);
-        let m = PowerModel::fit(&d, &FIXTURE_EVENTS).unwrap();
-        let batch = m.predict_batch(d.rows());
-        assert_eq!(batch.len(), d.len());
-        for (p, row) in batch.iter().zip(d.rows()) {
-            assert!((p - m.predict_row(row)).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn predict_batch_into_reuses_buffer() {
-        let d = linear_dataset(20);
-        let m = PowerModel::fit(&d, &FIXTURE_EVENTS).unwrap();
-        let mut buf = vec![0.0; 3];
-        m.predict_batch_into(d.rows(), &mut buf);
-        assert_eq!(buf.len(), d.len());
-        m.predict_batch_into(&d.rows()[..5], &mut buf);
-        assert_eq!(buf.len(), 5);
     }
 
     #[test]

@@ -38,8 +38,12 @@
 //! `--readmit-after` healthy passes re-admit it.
 //! `--retry-budget-ratio`/`--retry-budget-burst` bound hedge
 //! amplification per client connection.
+//!
+//! `route` rejects any flag it does not know, naming it, with a
+//! non-zero exit rather than running with a default in its place.
 
 use pmc_router::{BackendSpec, PowerRouter, RouterConfig};
+use pmc_serve::cli::{check_flags, flag_value};
 use pmc_serve::protocol::{read_frame, unwrap_response, write_frame, Request};
 use pmc_serve::ServeError;
 use std::io::Read;
@@ -82,14 +86,30 @@ fn main() -> ExitCode {
     }
 }
 
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
 fn route(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+    check_flags(
+        args,
+        &[
+            "--addr",
+            "--backend",
+            "--probe-interval-ms",
+            "--probe-timeout-ms",
+            "--evict-after",
+            "--max-conns",
+            "--retry-after-ms",
+            "--read-timeout-ms",
+            "--write-timeout-ms",
+            "--idle-timeout-ms",
+            "--sync-interval-ms",
+            "--hedge-after-ms",
+            "--outlier-factor",
+            "--outlier-min-samples",
+            "--readmit-after",
+            "--retry-budget-ratio",
+            "--retry-budget-burst",
+        ],
+        &["--no-hedge"],
+    )?;
     let mut config = RouterConfig {
         addr: flag_value(args, "--addr")
             .unwrap_or("127.0.0.1:7720")

@@ -1,12 +1,11 @@
 //! `pmc-serve` — run the power-telemetry server or poke one.
 //!
 //! ```text
-//! pmc-serve serve  [--addr A] [--uds PATH] [--workers N] [--queue N] [--cores N]
+//! pmc-serve serve  [--addr A] [--workers N] [--queue N] [--cores N]
 //!                  [--model FILE…] [--persist DIR] [--read-timeout-ms N]
 //!                  [--write-timeout-ms N] [--idle-timeout-ms N] [--max-frame-bytes N]
 //!                  [--max-conns N] [--max-inflight N] [--queue-deadline-ms N]
 //!                  [--drain-deadline-ms N] [--retry-after-ms N]
-//!                  [--batch-max N] [--batch-linger-us T]
 //!                  [--checkpoint PATH] [--checkpoint-interval-ms N]
 //!                  [--flap-cap N] [--respawn-backoff-ms N] [--stuck-bound-ms N]
 //! pmc-serve client --addr A (stats | load NAME FILE [--activate] | activate NAME VER | rollback
@@ -14,12 +13,9 @@
 //! pmc-serve chaos  [--seed N] [--fault-seed N] [--rate P] [--phases N]
 //! ```
 //!
-//! Queued ingests are coalesced into batched model dispatches:
-//! `--batch-max` caps how many ride in one dispatch (default 16,
-//! 1 disables coalescing) and `--batch-linger-us` lets the scheduler
-//! hold a non-full batch open until the oldest request has waited that
-//! many microseconds (default 0: purely opportunistic — a solo request
-//! is never delayed).
+//! `serve` rejects any flag it does not know, naming it, with a
+//! non-zero exit: a misspelled `--checkpoint` must not quietly run
+//! without durability.
 //!
 //! `serve` binds (default `127.0.0.1:7717`), optionally pre-loads and
 //! activates model artifacts from JSON files, prints the bound
@@ -40,6 +36,7 @@
 //! reports injected-fault counts, degraded estimates, and estimation
 //! error during and after the fault storm.
 
+use pmc_serve::cli::{check_flags, flag_value};
 use pmc_serve::registry::ModelRegistry;
 use pmc_serve::server::{PowerServer, ServerConfig};
 use pmc_serve::{ModelArtifact, PowerClient};
@@ -54,7 +51,7 @@ fn main() -> ExitCode {
         Some("client") => client(&args[1..]),
         Some("chaos") => chaos(&args[1..]),
         _ => {
-            eprintln!("usage: pmc-serve serve [--addr A] [--uds PATH] [--workers N] [--queue N] [--cores N]");
+            eprintln!("usage: pmc-serve serve [--addr A] [--workers N] [--queue N] [--cores N]");
             eprintln!(
                 "                       [--model FILE…] [--persist DIR] [--read-timeout-ms N]"
             );
@@ -63,7 +60,6 @@ fn main() -> ExitCode {
                 "                       [--max-conns N] [--max-inflight N] [--queue-deadline-ms N]"
             );
             eprintln!("                       [--drain-deadline-ms N] [--retry-after-ms N]");
-            eprintln!("                       [--batch-max N] [--batch-linger-us T]");
             eprintln!("                       [--checkpoint PATH] [--checkpoint-interval-ms N]");
             eprintln!(
                 "                       [--flap-cap N] [--respawn-backoff-ms N] [--stuck-bound-ms N]"
@@ -85,14 +81,33 @@ fn main() -> ExitCode {
     }
 }
 
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
 fn serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+    check_flags(
+        args,
+        &[
+            "--addr",
+            "--workers",
+            "--queue",
+            "--cores",
+            "--model",
+            "--persist",
+            "--read-timeout-ms",
+            "--write-timeout-ms",
+            "--idle-timeout-ms",
+            "--max-frame-bytes",
+            "--max-conns",
+            "--max-inflight",
+            "--queue-deadline-ms",
+            "--drain-deadline-ms",
+            "--retry-after-ms",
+            "--checkpoint",
+            "--checkpoint-interval-ms",
+            "--flap-cap",
+            "--respawn-backoff-ms",
+            "--stuck-bound-ms",
+        ],
+        &[],
+    )?;
     let mut config = ServerConfig {
         addr: flag_value(args, "--addr")
             .unwrap_or("127.0.0.1:7717")
@@ -131,9 +146,6 @@ fn serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     if let Some(b) = flag_value(args, "--max-frame-bytes") {
         config.max_frame_bytes = b.parse()?;
     }
-    if let Some(p) = flag_value(args, "--uds") {
-        config.uds_path = Some(p.to_string());
-    }
     if let Some(n) = flag_value(args, "--max-conns") {
         config.max_connections = n.parse()?;
     }
@@ -148,12 +160,6 @@ fn serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     }
     if let Some(ms) = flag_value(args, "--retry-after-ms") {
         config.retry_after_ms = ms.parse()?;
-    }
-    if let Some(n) = flag_value(args, "--batch-max") {
-        config.batch_max = n.parse()?;
-    }
-    if let Some(us) = flag_value(args, "--batch-linger-us") {
-        config.batch_linger = std::time::Duration::from_micros(us.parse()?);
     }
     if let Some(path) = flag_value(args, "--checkpoint") {
         config.checkpoint_path = Some(path.into());
@@ -229,9 +235,6 @@ fn serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         None => {}
     }
     println!("listening on {}", server.addr());
-    if let Some(path) = server.uds_path() {
-        println!("listening on uds {path}");
-    }
     // Serve until stdin closes — the conventional "run me under a
     // supervisor" lifetime without needing signal handling.
     let mut sink = Vec::new();

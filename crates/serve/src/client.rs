@@ -24,10 +24,8 @@
 //! overload count as consecutive failures, so a persistently
 //! overloaded server stops being hammered.
 //!
-//! Server-side batch coalescing is invisible at this layer: the wire
-//! protocol is unchanged, every request still gets its own response,
-//! and responses on one connection arrive in request order whether or
-//! not the server batched the work.
+//! Every request gets its own response, and responses on one
+//! connection arrive in request order.
 
 use crate::engine::{CounterSample, Estimate};
 use crate::error::ServeError;
@@ -36,7 +34,6 @@ use crate::protocol::{
 };
 use pmc_json::Json;
 use pmc_model::model::PowerModel;
-use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -222,56 +219,13 @@ pub struct HedgeStats {
     pub retry_budget_exhausted: u64,
 }
 
-/// Where the client (re)connects to.
-#[derive(Debug, Clone)]
-enum Endpoint {
-    Tcp(SocketAddr),
-    #[cfg(unix)]
-    Unix(std::path::PathBuf),
-}
-
-/// The client's transport stream, TCP or Unix-domain.
-#[derive(Debug)]
-enum ClientStream {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(std::os::unix::net::UnixStream),
-}
-
-impl Read for ClientStream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            ClientStream::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            ClientStream::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for ClientStream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            ClientStream::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            ClientStream::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            ClientStream::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            ClientStream::Unix(s) => s.flush(),
-        }
-    }
-}
-
 /// One connection to a power server. Each client owns its own
 /// estimator window on the server side; drop the client to release it.
 #[derive(Debug)]
 pub struct PowerClient {
-    stream: ClientStream,
-    endpoint: Endpoint,
+    stream: TcpStream,
+    /// Where the client reconnects to.
+    endpoint: SocketAddr,
     retry: Option<RetryPolicy>,
     breaker: Option<Breaker>,
     rng: u64,
@@ -310,26 +264,8 @@ impl PowerClient {
         let stream = TcpStream::connect(addr)?;
         let addr = stream.peer_addr()?;
         Ok(PowerClient {
-            stream: ClientStream::Tcp(stream),
-            endpoint: Endpoint::Tcp(addr),
-            retry: None,
-            breaker: None,
-            rng: 0,
-            resume_token: None,
-            deadline_budget: None,
-            encoding: Encoding::Json,
-            stats_local: ClientStats::default(),
-        })
-    }
-
-    /// Connects to a running server over a Unix domain socket.
-    #[cfg(unix)]
-    pub fn connect_uds(path: impl AsRef<std::path::Path>) -> Result<Self, ServeError> {
-        let path = path.as_ref().to_path_buf();
-        let stream = std::os::unix::net::UnixStream::connect(&path)?;
-        Ok(PowerClient {
-            stream: ClientStream::Unix(stream),
-            endpoint: Endpoint::Unix(path),
+            stream,
+            endpoint: addr,
             retry: None,
             breaker: None,
             rng: 0,
@@ -423,14 +359,7 @@ impl PowerClient {
     }
 
     fn reconnect(&mut self) {
-        let fresh = match &self.endpoint {
-            Endpoint::Tcp(addr) => TcpStream::connect(addr).map(ClientStream::Tcp),
-            #[cfg(unix)]
-            Endpoint::Unix(path) => {
-                std::os::unix::net::UnixStream::connect(path).map(ClientStream::Unix)
-            }
-        };
-        if let Ok(s) = fresh {
+        if let Ok(s) = TcpStream::connect(self.endpoint) {
             self.stream = s;
             // Replay the encoding negotiation first: hello must
             // precede every data frame on the fresh connection
@@ -1075,21 +1004,5 @@ mod tests {
         }
         a.shutdown();
         b.shutdown();
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn client_speaks_uds() {
-        let path =
-            std::env::temp_dir().join(format!("pmc-client-test-{}.sock", std::process::id()));
-        let cfg = ServerConfig {
-            uds_path: Some(path.to_string_lossy().into_owned()),
-            ..ServerConfig::default()
-        };
-        let mut server = PowerServer::start(cfg, Arc::new(ModelRegistry::default())).unwrap();
-        let mut c = PowerClient::connect_uds(&path).unwrap();
-        assert_eq!(c.ping(0).unwrap(), 0);
-        assert!(c.stats().is_ok());
-        server.shutdown();
     }
 }

@@ -226,16 +226,6 @@ struct ClientState {
     dirty_seq: u64,
 }
 
-/// Output of the prepare half of ingestion: the (possibly substituted)
-/// operating voltage plus any degraded-mode reason tokens. The
-/// normalized rate row itself is appended to the caller's flat buffer
-/// so batched prediction needs no per-sample allocation.
-#[derive(Debug)]
-struct Prepared {
-    voltage: f64,
-    reasons: Vec<String>,
-}
-
 /// A client's full sliding-window state, exported for checkpointing
 /// and re-imported on restart. This is everything the engine knows
 /// about a client: restoring a snapshot and then ingesting a sample
@@ -304,106 +294,17 @@ impl EstimatorEngine {
     /// updated estimate. Missing or implausible readings degrade the
     /// estimate instead of failing it (see the module docs); only
     /// structurally hopeless samples are errors.
+    ///
+    /// One pass under the client's shard lock: degraded-mode
+    /// substitution against the client's history, Eq. 1 through
+    /// [`pmc_model::model::PowerModel::predict_raw`], then the window
+    /// update.
     pub fn ingest(
         &self,
         client: u64,
         sample: &CounterSample,
         artifact: &Arc<ModelArtifact>,
     ) -> Result<Estimate, ServeError> {
-        let mut rates = Vec::with_capacity(artifact.model.events.len());
-        let prep = self.prepare(client, sample, artifact, &mut rates)?;
-        let power = artifact
-            .model
-            .predict_raw(&rates, prep.voltage, sample.freq_mhz)?;
-        Ok(self.finish(client, sample, artifact, power, prep))
-    }
-
-    /// Batched ingest: prepares every request (validation + degraded-
-    /// mode substitution, in request order), evaluates the model once
-    /// over all coalesced rows, then applies each client's sliding-
-    /// window state individually (again in request order).
-    ///
-    /// Results are bitwise identical to calling [`Self::ingest`]
-    /// sequentially over the same requests in the same order — the
-    /// batched predict runs `predict_raw`'s arithmetic per row, the
-    /// prepare pass updates substitution history (`last_rates`,
-    /// `last_voltage`) in order, and the finish pass updates window
-    /// state in order. That holds even if one client appears more than
-    /// once in a batch, because prepare and finish touch disjoint
-    /// per-client state.
-    pub fn estimate_batch(
-        &self,
-        requests: &[(u64, CounterSample)],
-        artifact: &Arc<ModelArtifact>,
-    ) -> Vec<Result<Estimate, ServeError>> {
-        let model = &artifact.model;
-        let width = model.events.len();
-        let mut rates = Vec::with_capacity(requests.len() * width);
-        let mut points = Vec::with_capacity(requests.len());
-        let mut prepped = Vec::with_capacity(requests.len());
-        for (client, sample) in requests {
-            let before = rates.len();
-            match self.prepare(*client, sample, artifact, &mut rates) {
-                Ok(p) => {
-                    points.push((p.voltage, sample.freq_mhz));
-                    prepped.push(Ok(p));
-                }
-                Err(e) => {
-                    rates.truncate(before);
-                    prepped.push(Err(e));
-                }
-            }
-        }
-        let mut powers = Vec::with_capacity(points.len());
-        if points.len() > 1 {
-            // Columnar path: transpose the row-major prepare output
-            // into one contiguous column per model event, evaluate the
-            // Eq.-1 terms column-wise (SIMD-friendly strips), results
-            // come back in request order. Bitwise identical to the
-            // scalar path — see `predict_raw_columns_into`.
-            let rows = points.len();
-            let mut columns = vec![0.0f64; rows * width];
-            for i in 0..rows {
-                let row = &rates[i * width..(i + 1) * width];
-                for (n, &r) in row.iter().enumerate() {
-                    columns[n * rows + i] = r;
-                }
-            }
-            let mut v2f = Vec::with_capacity(rows);
-            model
-                .predict_raw_columns_into(&columns, &points, &mut v2f, &mut powers)
-                .expect("prepare emits exactly one aligned rate row per accepted request");
-        } else {
-            // Single-row batches (and `--batch-max 1` servers) keep the
-            // scalar row-major kernel: the bitwise reference the
-            // equivalence harness compares the columnar path against.
-            model
-                .predict_raw_batch_into(&rates, &points, &mut powers)
-                .expect("prepare emits exactly one aligned rate row per accepted request");
-        }
-        let mut out = Vec::with_capacity(requests.len());
-        let mut next_power = powers.iter();
-        for ((client, sample), prep) in requests.iter().zip(prepped) {
-            out.push(prep.map(|p| {
-                let power = *next_power.next().expect("one power per accepted request");
-                self.finish(*client, sample, artifact, power, p)
-            }));
-        }
-        out
-    }
-
-    /// The per-sample front half of ingestion: validates the sample,
-    /// applies degraded-mode substitution against the client's history
-    /// (updating `last_rates`/`last_voltage` under the shard lock), and
-    /// appends exactly one model-width row of normalized rates to
-    /// `rates_out` — nothing is appended on error.
-    fn prepare(
-        &self,
-        client: u64,
-        sample: &CounterSample,
-        artifact: &Arc<ModelArtifact>,
-        rates_out: &mut Vec<f64>,
-    ) -> Result<Prepared, ServeError> {
         let model = &artifact.model;
         if sample.deltas.len() != model.events.len() {
             return Err(ServeError::WidthMismatch {
@@ -459,6 +360,7 @@ impl EstimatorEngine {
         // Dataset::from_profiles normalization.
         let available_cycles =
             self.config.total_cores as f64 * sample.freq_mhz as f64 * 1e6 * sample.duration_s;
+        let mut rates = Vec::with_capacity(model.events.len());
         for (i, (&delta, &event)) in sample.deltas.iter().zip(model.events.iter()).enumerate() {
             let unreadable = sample.missing.contains(&i) || !delta.is_finite() || delta < 0.0;
             let rate = delta / available_cycles;
@@ -471,31 +373,18 @@ impl EstimatorEngine {
                     None => (0.0, "saturated_counter"),
                 };
                 reasons.push(format!("{token}:{}", event.mnemonic()));
-                rates_out.push(substitute);
+                rates.push(substitute);
             } else {
                 state.last_rates[i] = Some(rate);
-                rates_out.push(rate);
+                rates.push(rate);
             }
         }
-        Ok(Prepared { voltage, reasons })
-    }
-
-    /// The per-sample back half of ingestion: envelope check, window
-    /// update, and estimate assembly, under the client's shard lock.
-    fn finish(
-        &self,
-        client: u64,
-        sample: &CounterSample,
-        artifact: &Arc<ModelArtifact>,
-        power: f64,
-        prep: Prepared,
-    ) -> Estimate {
-        let out_of_envelope = match &artifact.model.envelope {
-            Some(env) => !env.contains(prep.voltage, sample.freq_mhz),
+        let power = model.predict_raw(&rates, voltage, sample.freq_mhz)?;
+        let out_of_envelope = match &model.envelope {
+            Some(env) => !env.contains(voltage, sample.freq_mhz),
             None => false,
         };
-        let mut clients = Self::lock(self.shard(client));
-        let state = clients.entry(client).or_default();
+
         // A retry after a lost response re-sends the same sample; the
         // recompute is deterministic, so replacing the entry (instead
         // of stacking a duplicate) keeps the window bitwise identical
@@ -517,13 +406,28 @@ impl EstimatorEngine {
             samples_in_window: state.window.len(),
             out_of_envelope,
             stale: false,
-            degraded: !prep.reasons.is_empty(),
-            degraded_reasons: prep.reasons,
+            degraded: !reasons.is_empty(),
+            degraded_reasons: reasons,
             model: artifact.name.clone(),
             version: artifact.version,
         };
         state.last = Some(est.clone());
-        est
+        Ok(est)
+    }
+
+    /// [`Self::ingest`] over each request in order — results equal
+    /// calling it once per request, because that is all this does.
+    /// Kept for in-process callers that time a pair of ingests as one
+    /// unit; the server ingests one sample per dequeued job.
+    pub fn estimate_batch(
+        &self,
+        requests: &[(u64, CounterSample)],
+        artifact: &Arc<ModelArtifact>,
+    ) -> Vec<Result<Estimate, ServeError>> {
+        requests
+            .iter()
+            .map(|(client, sample)| self.ingest(*client, sample, artifact))
+            .collect()
     }
 
     /// The latest estimate for `client`, with the staleness flag
@@ -899,8 +803,9 @@ mod tests {
         assert_eq!(est.version, 2);
     }
 
-    /// Two engines fed the same requests — one per-sample, one batched
-    /// — must agree bit for bit, flags and reasons included.
+    /// Two engines fed the same requests — one per-sample, one through
+    /// `estimate_batch` — must agree bit for bit, flags and reasons
+    /// included.
     fn assert_batch_matches_sequential(requests: &[(u64, CounterSample)]) {
         let a = tiny_artifact();
         let solo = engine();
@@ -1153,120 +1058,6 @@ mod tests {
         let a_snap = eng.export_clients(|_| true);
         let b_snap = dup.export_clients(|_| true);
         assert_eq!(a_snap[0].window, b_snap[0].window);
-    }
-
-    /// Property test for the columnar kernel against the scalar
-    /// reference: hand-built models over every interesting
-    /// counter-group width — N=0 (pure base term), N=1, and widths
-    /// and row counts that are not multiples of the chunk — with
-    /// seeded random coefficients and rates, must agree bit for bit.
-    #[test]
-    fn columnar_kernel_bitwise_matches_scalar_across_widths() {
-        use pmc_events::PapiEvent;
-        use pmc_model::model::{PowerModel, COLUMN_CHUNK};
-
-        fn splitmix(state: &mut u64) -> u64 {
-            *state = state.wrapping_add(0x9E3779B97F4A7C15);
-            let mut z = *state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-            z ^ (z >> 31)
-        }
-        fn unit(state: &mut u64) -> f64 {
-            (splitmix(state) >> 11) as f64 / (1u64 << 53) as f64
-        }
-
-        let event_pool = [
-            PapiEvent::PRF_DM,
-            PapiEvent::TOT_CYC,
-            PapiEvent::TLB_IM,
-            PapiEvent::STL_ICY,
-            PapiEvent::FUL_CCY,
-            PapiEvent::BR_MSP,
-        ];
-        let mut state = 0xC0FFEEu64;
-        // Widths straddle 0, 1, and non-multiples of anything; row
-        // counts straddle the chunk boundary (below, at, above, and a
-        // large non-multiple).
-        for width in [0usize, 1, 2, 3, 5, 6] {
-            for rows in [1usize, COLUMN_CHUNK - 1, COLUMN_CHUNK, COLUMN_CHUNK + 1, 67] {
-                let model = PowerModel {
-                    events: event_pool[..width].to_vec(),
-                    alpha: (0..width).map(|_| unit(&mut state) * 100.0).collect(),
-                    beta: unit(&mut state) * 30.0,
-                    gamma: unit(&mut state) * 50.0,
-                    delta: unit(&mut state) * 80.0,
-                    fit_r_squared: 0.0,
-                    fit_adj_r_squared: 0.0,
-                    std_errors: vec![0.0; width + 3],
-                    n_observations: 0,
-                    envelope: None,
-                };
-                let mut rates = Vec::with_capacity(rows * width);
-                let mut points = Vec::with_capacity(rows);
-                for _ in 0..rows {
-                    for _ in 0..width {
-                        rates.push(unit(&mut state) * 0.3);
-                    }
-                    points.push((
-                        0.7 + unit(&mut state),
-                        1200 + (splitmix(&mut state) % 1600) as u32,
-                    ));
-                }
-                let mut columns = vec![0.0f64; rows * width];
-                for i in 0..rows {
-                    for n in 0..width {
-                        columns[n * rows + i] = rates[i * width + n];
-                    }
-                }
-                let (mut v2f, mut columnar) = (Vec::new(), Vec::new());
-                model
-                    .predict_raw_columns_into(&columns, &points, &mut v2f, &mut columnar)
-                    .unwrap();
-                assert_eq!(columnar.len(), rows);
-                for (i, &(voltage, freq_mhz)) in points.iter().enumerate() {
-                    let scalar = model
-                        .predict_raw(&rates[i * width..(i + 1) * width], voltage, freq_mhz)
-                        .unwrap();
-                    assert_eq!(
-                        columnar[i].to_bits(),
-                        scalar.to_bits(),
-                        "width {width} rows {rows} row {i}: columnar != scalar"
-                    );
-                }
-            }
-        }
-    }
-
-    /// The engine's batched path (which picks the columnar kernel for
-    /// multi-row batches) stays bitwise identical to sequential
-    /// single-sample ingestion — the end-to-end version of the kernel
-    /// property above.
-    #[test]
-    fn estimate_batch_columnar_path_bitwise_matches_sequential() {
-        let batched = engine();
-        let solo = engine();
-        let a = tiny_artifact();
-        let data = tiny_dataset(12);
-        let requests: Vec<(u64, CounterSample)> = data
-            .rows()
-            .iter()
-            .enumerate()
-            .map(|(i, row)| {
-                (
-                    (i % 3) as u64,
-                    sample_from_row(row, &a, (i as u64 + 1) * 50),
-                )
-            })
-            .collect();
-        let via_batch = batched.estimate_batch(&requests, &a);
-        assert!(requests.len() > 1, "must exercise the columnar path");
-        for ((client, sample), got) in requests.iter().zip(via_batch) {
-            let want = solo.ingest(*client, sample, &a).unwrap();
-            let got = got.unwrap();
-            assert_eq!(got.power_w.to_bits(), want.power_w.to_bits());
-            assert_eq!(got.window_power_w.to_bits(), want.window_power_w.to_bits());
-        }
     }
 
     #[test]

@@ -25,12 +25,13 @@
 //!    `resume`, `checkpoint`) — payloads in UTF-8 JSON by default, or
 //!    the self-describing `PMCB1` tagged binary encoding negotiated
 //!    per connection with a leading `hello {"encoding": "binary"}`
-//!    op ([`protocol::Encoding`]) — over localhost TCP and optionally
-//!    a Unix domain socket. One non-blocking core thread multiplexes
-//!    every connection over a **supervised** worker pool: a worker
-//!    panic is contained by `catch_unwind` (the affected request gets
-//!    a typed `internal_error` frame, the slot is respawned with
-//!    backoff, flapping slots are retired and surfaced in `readyz`),
+//!    op ([`protocol::Encoding`]) — over localhost TCP. One
+//!    non-blocking core thread multiplexes every connection over a
+//!    **supervised** worker pool that takes one job per dequeue (an
+//!    `ingest` is one Eq.-1 evaluation): a worker panic is contained
+//!    by `catch_unwind` (the affected request gets a typed
+//!    `internal_error` frame, the slot is respawned with backoff,
+//!    flapping slots are retired and surfaced in `readyz`),
 //!    with admission control (connection and in-flight budgets
 //!    answered by typed `overloaded` frames), deadline-aware load
 //!    shedding, slow-client buffering under read/write deadlines, and
@@ -69,12 +70,13 @@
 #![forbid(unsafe_code)]
 
 pub mod artifact;
-mod batch;
 pub mod checkpoint;
+pub mod cli;
 pub mod client;
 pub mod engine;
 mod error;
 pub mod fsutil;
+mod job;
 pub mod protocol;
 pub mod registry;
 pub mod server;

@@ -776,13 +776,6 @@ pub fn with_deadline_ms(frame: &Json, ms: u64) -> Json {
     }
 }
 
-/// True if a raw request frame is an `ingest` — the only op the batch
-/// scheduler lingers for. A cheap field peek; full request parsing
-/// (and its error reporting) still happens at execution time.
-pub(crate) fn is_ingest_frame(frame: &Json) -> bool {
-    matches!(frame.str_field("op"), Ok("ingest"))
-}
-
 /// True if a raw request frame is an op the server core answers
 /// inline, without a worker: health/readiness probes, metrics
 /// scrapes, connection identity binding, and encoding negotiation.

@@ -367,13 +367,13 @@ impl ModelRegistry {
     }
 
     /// The serving pair — `(active, previous)` — captured under one
-    /// lock acquisition. Callers that dispatch a batch must resolve
-    /// the pair exactly once through this method and hold the returned
-    /// `Arc`s for the whole dispatch: separate [`ModelRegistry::active`]
-    /// / [`ModelRegistry::previous`] calls can interleave with an
+    /// lock acquisition. An ingest must resolve the pair exactly once
+    /// through this method: separate [`ModelRegistry::active`] /
+    /// [`ModelRegistry::previous`] calls can interleave with an
     /// `activate` or `rollback` and observe a torn pair (e.g. the new
-    /// active with the old previous), which would let two rows of the
-    /// same batch be served by inconsistent model versions.
+    /// active with the old previous), which would let the fallback
+    /// serve a sample from a model that was never the active one's
+    /// predecessor.
     pub fn serving_pair(&self) -> (Option<Arc<ModelArtifact>>, Option<Arc<ModelArtifact>>) {
         let inner = read_inner(&self.inner);
         (

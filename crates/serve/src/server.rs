@@ -1,11 +1,14 @@
 //! The readiness-based wire-protocol server.
 //!
-//! One **core thread** owns every listener (TCP, and optionally a Unix
-//! domain socket) and every connection as a non-blocking stream. Bytes
-//! arrive in arbitrary fragments and accumulate in per-connection read
-//! buffers; complete frames are dispatched to a fixed **worker pool**
-//! through a bounded queue; responses come back over a completion
-//! channel and drain through per-connection write buffers. A slow or
+//! One **core thread** owns the TCP listener and every connection as a
+//! non-blocking stream. Bytes arrive in arbitrary fragments and
+//! accumulate in per-connection read buffers; complete frames are
+//! dispatched to a fixed **worker pool** through a bounded queue. Each
+//! worker takes exactly one job per dequeue and runs it through the
+//! same request handler whatever the op — an `ingest` is one Eq.-1
+//! evaluation, never batched with its neighbours. Responses come back
+//! over a completion channel, one per job, and drain through
+//! per-connection write buffers. A slow or
 //! hostile peer therefore never pins a thread — it pins only its own
 //! buffers, and those are bounded and deadline-guarded.
 //!
@@ -40,7 +43,7 @@
 //!
 //! ## Graceful drain
 //!
-//! Shutdown raises the stop flag; the core drops its listeners (no new
+//! Shutdown raises the stop flag; the core drops its listener (no new
 //! connections), refuses new requests with a typed `draining` frame,
 //! lets in-flight requests finish within
 //! [`ServerConfig::drain_deadline`], sends every client a `draining`
@@ -49,10 +52,10 @@
 //!
 //! ## Crash containment and durability
 //!
-//! - **Supervised workers.** Every worker executes its assembled jobs
-//!   under `catch_unwind`; a panic answers each unanswered in-flight
-//!   request with a typed `internal_error` frame (the connection
-//!   survives), bumps `worker_panics`, and retires the worker. A
+//! - **Supervised workers.** Every worker executes its job under
+//!   `catch_unwind`; a panic answers that request with a typed
+//!   `internal_error` frame (the connection survives), bumps
+//!   `worker_panics`, and retires the worker. A
 //!   supervisor thread respawns it with exponential backoff, gives up
 //!   after [`ServerConfig::flap_cap`] consecutive fast deaths (readyz
 //!   then reports not-ready), and runs a watchdog that flags workers
@@ -69,10 +72,10 @@
 //!   probes keep working even when the whole pool is wedged.
 
 use crate::artifact::ModelArtifact;
-use crate::batch::{assemble, BatchPolicy, ChannelSource, Job};
 use crate::checkpoint::{load_checkpoint, write_checkpoint, CheckpointData, CheckpointOutcome};
-use crate::engine::{CounterSample, EngineConfig, EstimatorEngine};
+use crate::engine::{EngineConfig, EstimatorEngine};
 use crate::error::ServeError;
+use crate::job::{disposition, Disposition, Job};
 use crate::protocol::{
     encode_frame, encode_frame_as, error_response, frame_deadline_ms, is_core_inline_frame,
     is_hello_frame, ok_response, parse_frame, Encoding, FrameError, Request, MAX_FRAME_BYTES,
@@ -104,10 +107,6 @@ const MAX_PING_DELAY_MS: u64 = 5_000;
 pub struct ServerConfig {
     /// TCP listen address; use port 0 for an ephemeral port.
     pub addr: String,
-    /// Optional Unix-domain-socket path to listen on beside TCP
-    /// (same frame protocol; unix-like platforms only). A stale
-    /// socket file at the path is removed on bind.
-    pub uds_path: Option<String>,
     /// Fixed worker-thread count executing requests.
     pub workers: usize,
     /// Bounded request-queue depth between the core and the workers.
@@ -138,14 +137,6 @@ pub struct ServerConfig {
     pub drain_deadline: Duration,
     /// Backoff hint carried by overload responses, milliseconds.
     pub retry_after_ms: u64,
-    /// Most ingest requests one coalesced batch may carry. `1`
-    /// disables coalescing (every request is its own model call).
-    pub batch_max: usize,
-    /// How long the oldest queued ingest may wait for more requests to
-    /// coalesce before its batch dispatches anyway. Zero (the default)
-    /// means opportunistic batching: take what is queued, never wait —
-    /// a solo request pays no added latency.
-    pub batch_linger: Duration,
     /// Estimator-engine tuning.
     pub engine: EngineConfig,
     /// Where to persist engine checkpoints (durable client windows and
@@ -160,7 +151,7 @@ pub struct ServerConfig {
     /// Consecutive fast deaths after which a worker slot is retired
     /// and the supervisor reports flapping (readyz goes not-ready).
     pub flap_cap: u32,
-    /// A worker busy on a single assembly for longer than this is
+    /// A worker busy on a single job for longer than this is
     /// counted in the `workers_stuck` gauge by the watchdog.
     pub stuck_job_bound: Duration,
     /// Deterministic fault hooks (injected worker panics, stalls, torn
@@ -175,7 +166,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             addr: "127.0.0.1:0".into(),
-            uds_path: None,
             workers: 4,
             queue_depth: 16,
             read_timeout: Some(Duration::from_secs(2)),
@@ -187,8 +177,6 @@ impl Default for ServerConfig {
             queue_deadline: Some(Duration::from_secs(1)),
             drain_deadline: Duration::from_secs(5),
             retry_after_ms: 50,
-            batch_max: 16,
-            batch_linger: Duration::ZERO,
             engine: EngineConfig::default(),
             checkpoint_path: None,
             checkpoint_interval: Duration::from_secs(5),
@@ -230,75 +218,17 @@ impl HealthState {
     }
 }
 
-/// A client byte stream, TCP or Unix-domain.
-enum Stream {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(std::os::unix::net::UnixStream),
-}
-
-impl Stream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            Stream::Unix(s) => s.read(buf),
-        }
-    }
-
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            Stream::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn set_nonblocking(&self, nb: bool) -> std::io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.set_nonblocking(nb),
-            #[cfg(unix)]
-            Stream::Unix(s) => s.set_nonblocking(nb),
-        }
-    }
-
-    fn close(&self) {
-        match self {
-            Stream::Tcp(s) => {
-                let _ = s.shutdown(Shutdown::Both);
-            }
-            #[cfg(unix)]
-            Stream::Unix(s) => {
-                let _ = s.shutdown(Shutdown::Both);
-            }
-        }
-    }
-}
-
-/// An accept source feeding the readiness loop.
-enum Listener {
-    Tcp(TcpListener),
-    #[cfg(unix)]
-    Unix(std::os::unix::net::UnixListener),
-}
-
-impl Listener {
-    /// Non-blocking accept; the returned stream is already
-    /// non-blocking. `WouldBlock` means "no pending connection".
-    fn accept(&self) -> std::io::Result<Stream> {
-        let stream = match self {
-            Listener::Tcp(l) => Stream::Tcp(l.accept()?.0),
-            #[cfg(unix)]
-            Listener::Unix(l) => Stream::Unix(l.accept()?.0),
-        };
-        stream.set_nonblocking(true)?;
-        Ok(stream)
-    }
+/// Non-blocking accept; the returned stream is already non-blocking.
+/// `WouldBlock` means "no pending connection".
+fn accept_nonblocking(listener: &TcpListener) -> std::io::Result<TcpStream> {
+    let (stream, _) = listener.accept()?;
+    stream.set_nonblocking(true)?;
+    Ok(stream)
 }
 
 /// Per-connection state owned by the core thread.
 struct Conn {
-    stream: Stream,
+    stream: TcpStream,
     /// Engine key this connection's samples accumulate under. Defaults
     /// to the connection id (ephemeral — forgotten on close); a
     /// `resume` op rebinds it to a durable token-derived key (bit 63
@@ -332,7 +262,7 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: Stream, now: Instant, id: u64) -> Self {
+    fn new(stream: TcpStream, now: Instant, id: u64) -> Self {
         Conn {
             stream,
             client: id,
@@ -650,136 +580,6 @@ impl Service {
             }
         }
     }
-
-    /// Executes one coalesced run of ingest requests, returning one
-    /// response per request in request order. Each batch entry is
-    /// `(conn, client, sample)`: `conn` routes the response, `client`
-    /// keys the engine window (they differ after a `resume`). The
-    /// registry's serving pair is resolved exactly **once** for the
-    /// whole batch — a concurrent activate/rollback cannot split a
-    /// batch across model versions or pair the new active with the old
-    /// fallback.
-    fn handle_ingest_batch(&self, batch: Vec<(u64, u64, CounterSample)>) -> Vec<(u64, Json)> {
-        let (active, previous) = self.registry.serving_pair();
-        self.run_pinned(batch, active, previous)
-    }
-
-    /// The execution half of [`Self::handle_ingest_batch`], taking the
-    /// already-pinned serving pair (split out so tests can interpose
-    /// registry churn between resolution and execution).
-    fn run_pinned(
-        &self,
-        batch: Vec<(u64, u64, CounterSample)>,
-        active: Option<Arc<ModelArtifact>>,
-        previous: Option<Arc<ModelArtifact>>,
-    ) -> Vec<(u64, Json)> {
-        if batch.is_empty() {
-            return Vec::new();
-        }
-        ServerStats::bump(&self.stats.batches_dispatched);
-        self.stats
-            .batched_requests
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        self.stats.record_batch_fill(batch.len());
-
-        let Some(active) = active else {
-            return batch
-                .into_iter()
-                .map(|(conn, _, _)| {
-                    ServerStats::bump(&self.stats.frames_errored);
-                    let err = ServeError::Registry {
-                        reason: "no active model — load_model/activate first".into(),
-                    };
-                    (conn, error_response(&err))
-                })
-                .collect();
-        };
-        let active_width = active.model.events.len();
-
-        // Partition by serving model, preserving request order within
-        // each group (and overall, via the index map): samples the
-        // active model can read, samples only the pinned fallback can
-        // read (the stale-model path), and hopeless widths.
-        let n = batch.len();
-        let mut conns = Vec::with_capacity(n);
-        let mut responses: Vec<Option<Json>> = std::iter::repeat_with(|| None).take(n).collect();
-        let mut active_rows: Vec<(u64, CounterSample)> = Vec::with_capacity(n);
-        let mut active_slots = Vec::with_capacity(n);
-        let mut fallback_rows: Vec<(u64, CounterSample)> = Vec::new();
-        let mut fallback_slots = Vec::new();
-        for (slot, (conn, client, sample)) in batch.into_iter().enumerate() {
-            conns.push(conn);
-            let width = sample.deltas.len();
-            if width == active_width {
-                active_rows.push((client, sample));
-                active_slots.push(slot);
-            } else if previous
-                .as_ref()
-                .is_some_and(|p| p.model.events.len() == width)
-            {
-                fallback_rows.push((client, sample));
-                fallback_slots.push(slot);
-            } else {
-                ServerStats::bump(&self.stats.frames_errored);
-                let err = ServeError::WidthMismatch {
-                    expected: active_width,
-                    got: width,
-                };
-                responses[slot] = Some(error_response(&err));
-            }
-        }
-
-        for (slot, result) in active_slots
-            .into_iter()
-            .zip(self.engine.estimate_batch(&active_rows, &active))
-        {
-            responses[slot] = Some(self.ingest_response(result, None));
-        }
-        if let Some(prev) = previous.filter(|_| !fallback_rows.is_empty()) {
-            for (slot, result) in fallback_slots
-                .into_iter()
-                .zip(self.engine.estimate_batch(&fallback_rows, &prev))
-            {
-                responses[slot] = Some(self.ingest_response(result, Some(&prev)));
-            }
-        }
-        conns
-            .into_iter()
-            .zip(responses)
-            .map(|(conn, resp)| (conn, resp.expect("every batch slot answered")))
-            .collect()
-    }
-
-    /// Folds one batched-ingest engine outcome into a wire response,
-    /// with the same flagging and stat bumps as the unbatched path.
-    /// `stale_from` marks an estimate served by the pinned fallback
-    /// model rather than the active one.
-    fn ingest_response(
-        &self,
-        result: Result<crate::engine::Estimate, ServeError>,
-        stale_from: Option<&Arc<ModelArtifact>>,
-    ) -> Json {
-        match result {
-            Ok(mut est) => {
-                if let Some(prev) = stale_from {
-                    est.degraded = true;
-                    est.degraded_reasons
-                        .push(format!("stale_model:{}@v{}", prev.name, prev.version));
-                    ServerStats::bump(&self.stats.stale_model_fallbacks);
-                }
-                if est.degraded {
-                    ServerStats::bump(&self.stats.degraded_estimates);
-                }
-                ServerStats::bump(&self.stats.samples_ingested);
-                ServerStats::bump(&self.stats.estimates_served);
-                ok_response(est.to_json_value())
-            }
-            Err(e) => {
-                ServerStats::bump(&self.stats.frames_errored);
-                error_response(&e)
-            }
-        }
-    }
 }
 
 fn id_json(name: &str, version: u32) -> Json {
@@ -814,7 +614,6 @@ pub enum CheckpointRestore {
 /// Handle to a running server; dropping it shuts the server down.
 pub struct PowerServer {
     addr: SocketAddr,
-    uds_path: Option<String>,
     stop: Arc<AtomicBool>,
     core: Option<JoinHandle<()>>,
     supervisor: Option<JoinHandle<()>>,
@@ -824,7 +623,7 @@ pub struct PowerServer {
 }
 
 impl PowerServer {
-    /// Binds the listeners and starts the core and worker threads.
+    /// Binds the listener and starts the core and worker threads.
     pub fn start(config: ServerConfig, registry: Arc<ModelRegistry>) -> Result<Self, ServeError> {
         if config.workers == 0 {
             return Err(ServeError::Registry {
@@ -834,21 +633,6 @@ impl PowerServer {
         let tcp = TcpListener::bind(&config.addr)?;
         tcp.set_nonblocking(true)?;
         let addr = tcp.local_addr()?;
-        let mut listeners = vec![Listener::Tcp(tcp)];
-        let uds_path = config.uds_path.clone();
-        if let Some(path) = &config.uds_path {
-            #[cfg(unix)]
-            {
-                let _ = std::fs::remove_file(path);
-                let l = std::os::unix::net::UnixListener::bind(path)?;
-                l.set_nonblocking(true)?;
-                listeners.push(Listener::Unix(l));
-            }
-            #[cfg(not(unix))]
-            return Err(ServeError::Registry {
-                reason: format!("unix sockets unsupported on this platform: {path}"),
-            });
-        }
 
         let stats = Arc::new(ServerStats::default());
         let health = Arc::new(HealthState::default());
@@ -921,7 +705,7 @@ impl PowerServer {
         });
         let stop = Arc::new(AtomicBool::new(false));
         let (job_tx, job_rx) = sync_channel::<Job>(config.queue_depth.max(1));
-        let (done_tx, done_rx) = channel::<Vec<Completion>>();
+        let (done_tx, done_rx) = channel::<Completion>();
         let (exit_tx, exit_rx) = channel::<usize>();
 
         let spawner = WorkerSpawner {
@@ -946,7 +730,7 @@ impl PowerServer {
             let service = Arc::clone(&service);
             std::thread::spawn(move || {
                 Core {
-                    listeners,
+                    listener: Some(tcp),
                     conns: HashMap::new(),
                     next_id: 1,
                     inflight: 0,
@@ -961,7 +745,6 @@ impl PowerServer {
 
         Ok(PowerServer {
             addr,
-            uds_path,
             stop,
             core: Some(core),
             supervisor: Some(supervisor),
@@ -980,11 +763,6 @@ impl PowerServer {
     /// The bound TCP address (resolves the ephemeral port).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The Unix-socket path the server listens on, if any.
-    pub fn uds_path(&self) -> Option<&str> {
-        self.uds_path.as_deref()
     }
 
     /// Live operational counters.
@@ -1007,9 +785,6 @@ impl PowerServer {
         }
         if let Some(supervisor) = self.supervisor.take() {
             let _ = supervisor.join();
-        }
-        if let Some(path) = self.uds_path.take() {
-            let _ = std::fs::remove_file(path);
         }
     }
 }
@@ -1039,10 +814,10 @@ fn encoded(conn: u64, encoding: Encoding, resp: &Json) -> Completion {
 /// worker reuses the exact channels and shared state of the original.
 struct WorkerSpawner {
     job_rx: Arc<Mutex<Receiver<Job>>>,
-    done_tx: Sender<Vec<Completion>>,
+    done_tx: Sender<Completion>,
     service: Arc<Service>,
     /// Per-slot busy markers: nanoseconds since `started_at` when the
-    /// slot began its current assembly, 0 while idle. The watchdog
+    /// slot began its current job, 0 while idle. The watchdog
     /// reads these to find stuck workers.
     busy: Arc<Vec<AtomicU64>>,
     started_at: Instant,
@@ -1145,7 +920,7 @@ fn supervise(
             Err(RecvTimeoutError::Disconnected) => {}
         }
 
-        // Watchdog: count workers busy on one assembly past the bound.
+        // Watchdog: count workers busy on one job past the bound.
         let bound_ns = cfg.stuck_job_bound.as_nanos() as u64;
         let now_ns = spawner.started_at.elapsed().as_nanos() as u64;
         let stuck = spawner
@@ -1194,218 +969,106 @@ fn jittered_interval(base: Duration, rng: &mut u64) -> Duration {
     base.mul_f64(0.8 + 0.4 * unit)
 }
 
-/// Executes assembled runs of queued requests. Each worker drains the
-/// shared queue into one [`crate::batch::Assembly`] at a time: jobs
-/// that outlived the queue deadline are answered with typed overload
-/// frames *before* any execution, consecutive `ingest` frames are
-/// dispatched as one batched model evaluation, and any other op acts
-/// as a barrier — it executes only after the pending ingest run
-/// flushes, so state-changing ops (activate, rollback) interleave with
-/// ingests exactly as they would on an unbatched server.
+/// Executes queued requests, one [`Job`] per dequeue. A job whose
+/// budget or queue deadline ran out while it waited is answered with
+/// its typed refusal without executing ([`crate::job::disposition`]);
+/// every other job runs through [`Service::handle`], so a request is
+/// answered the same way whichever worker takes it.
 ///
-/// The execution of every assembly runs under `catch_unwind`: a panic
-/// answers each not-yet-answered job in the assembly with a typed
-/// `internal_error` frame (their connections stay open) and retires
-/// this worker — the supervisor respawns the slot.
+/// A job runs under `catch_unwind`: a panic answers it with a typed
+/// `internal_error` frame (its connection stays open) and retires this
+/// worker — the supervisor respawns the slot.
 fn worker_loop(
     job_rx: &Mutex<Receiver<Job>>,
-    done: &Sender<Vec<Completion>>,
+    done: &Sender<Completion>,
     service: &Service,
     busy: &AtomicU64,
     started_at: Instant,
 ) {
-    let policy = BatchPolicy {
-        max: service.config.batch_max,
-        linger: service.config.batch_linger,
-        queue_deadline: service.config.queue_deadline,
-    };
-    let mut source = ChannelSource::new(job_rx);
-    while let Some(asm) = assemble(&mut source, &policy) {
-        // Hand the queue to sibling workers before executing anything.
-        source.release();
-        if asm.lingered {
-            ServerStats::bump(&service.stats.batch_linger_timeouts);
-        }
-        if !asm.shed.is_empty() {
-            let sheds = asm
-                .shed
-                .into_iter()
-                .map(|job| {
-                    ServerStats::bump(&service.stats.requests_shed);
-                    let err = ServeError::Overloaded {
-                        retry_after_ms: service.config.retry_after_ms,
-                    };
-                    encoded(job.conn, job.encoding, &error_response(&err))
+    loop {
+        // A sibling worker that panicked while holding the lock
+        // poisons it; the receiver itself is still sound, so recover
+        // the guard rather than cascading the crash. The guard drops
+        // at the end of this statement, before the job runs.
+        let next = job_rx.lock().unwrap_or_else(|e| e.into_inner()).recv();
+        let Ok(job) = next else {
+            return; // queue closed: retire
+        };
+        let resp = match disposition(&job, Instant::now(), service.config.queue_deadline) {
+            Disposition::Shed => {
+                ServerStats::bump(&service.stats.requests_shed);
+                error_response(&ServeError::Overloaded {
+                    retry_after_ms: service.config.retry_after_ms,
                 })
-                .collect();
-            if done.send(sheds).is_err() {
-                return; // core gone
             }
-        }
-        if !asm.expired.is_empty() {
             // The propagated budget ran out while the job sat queued:
             // a typed deadline_exceeded, not an overload — the client
             // must not burn a retry on patience it no longer has.
-            let expired = asm
-                .expired
-                .into_iter()
-                .map(|job| {
-                    ServerStats::bump(&service.stats.requests_deadline_exceeded);
-                    let err = ServeError::DeadlineExceeded { remaining_ms: 0 };
-                    encoded(job.conn, job.encoding, &error_response(&err))
-                })
-                .collect();
-            if done.send(expired).is_err() {
-                return; // core gone
+            Disposition::Expired => {
+                ServerStats::bump(&service.stats.requests_deadline_exceeded);
+                error_response(&ServeError::DeadlineExceeded { remaining_ms: 0 })
             }
-        }
-
-        let conns: Vec<(u64, Encoding)> = asm
-            .jobs
-            .iter()
-            .map(|job| (job.conn, job.encoding))
-            .collect();
-        let answered = std::cell::RefCell::new(Vec::<u64>::new());
-        busy.store(
-            (started_at.elapsed().as_nanos() as u64).max(1),
-            Ordering::Relaxed,
-        );
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            run_assembly(asm.jobs, done, service, &answered)
-        }));
-        busy.store(0, Ordering::Relaxed);
-        match outcome {
-            Ok(true) => {}
-            Ok(false) => return, // core gone
-            Err(_) => {
-                // Crash containment: the panic stays inside this
-                // worker. Every job that never got its response is
-                // answered in-protocol, then this thread retires and
-                // the supervisor takes over.
-                ServerStats::bump(&service.stats.worker_panics);
-                let answered = answered.into_inner();
-                let err = ServeError::Internal {
-                    reason: "worker panicked while executing the request".into(),
-                };
-                let unanswered: Vec<Completion> = conns
-                    .iter()
-                    .filter(|(conn, _)| !answered.contains(conn))
-                    .map(|&(conn, enc)| encoded(conn, enc, &error_response(&err)))
-                    .collect();
-                if !unanswered.is_empty() {
-                    let _ = done.send(unanswered);
+            Disposition::Run => {
+                busy.store(
+                    (started_at.elapsed().as_nanos() as u64).max(1),
+                    Ordering::Relaxed,
+                );
+                let outcome = catch_unwind(AssertUnwindSafe(|| run_job(&job, service)));
+                busy.store(0, Ordering::Relaxed);
+                match outcome {
+                    Ok(resp) => resp,
+                    Err(_) => {
+                        // Crash containment: the panic stays inside
+                        // this worker. Its job is answered
+                        // in-protocol, then this thread retires and
+                        // the supervisor takes over.
+                        ServerStats::bump(&service.stats.worker_panics);
+                        let err = ServeError::Internal {
+                            reason: "worker panicked while executing the request".into(),
+                        };
+                        let _ = done.send(encoded(job.conn, job.encoding, &error_response(&err)));
+                        return;
+                    }
                 }
-                return;
             }
+        };
+        if done.send(encoded(job.conn, job.encoding, &resp)).is_err() {
+            return; // core gone
         }
     }
 }
 
-/// Runs one assembly's jobs, recording each connection in `answered`
-/// the moment its response is handed to the core (the panic-recovery
-/// path in [`worker_loop`] answers the rest). Returns false once the
-/// core is gone.
-fn run_assembly(
-    jobs: Vec<Job>,
-    done: &Sender<Vec<Completion>>,
-    service: &Service,
-    answered: &std::cell::RefCell<Vec<u64>>,
-) -> bool {
-    let mut pending: Vec<(u64, u64, CounterSample)> = Vec::new();
-    // Response encodings of the pending ingest run, aligned with
-    // `pending` (one request per connection in flight, so each conn
-    // appears at most once per run).
-    let mut pending_encs: Vec<Encoding> = Vec::new();
-    for job in jobs {
-        if let Some(faults) = &service.config.faults {
-            if faults.should_panic() {
-                panic!("injected worker panic (pmc-faults)");
-            }
-            if let Some(hold) = faults.stall_duration() {
-                std::thread::sleep(hold);
-            }
+/// Parses and executes one job's frame (after any injected fault).
+fn run_job(job: &Job, service: &Service) -> Json {
+    if let Some(faults) = &service.config.faults {
+        if faults.should_panic() {
+            panic!("injected worker panic (pmc-faults)");
         }
-        match Request::from_json_value(&job.frame) {
-            Ok(Request::Ingest(sample)) => {
-                pending.push((job.conn, job.client, sample));
-                pending_encs.push(job.encoding);
-            }
-            Ok(req) => {
-                // Barrier: the queued ingests precede this op, so
-                // they must see the registry as it was before it.
-                if !flush_ingests(&mut pending, &mut pending_encs, done, service, answered) {
-                    return false;
-                }
-                let resp = service.handle(job.client, req);
-                answered.borrow_mut().push(job.conn);
-                if done
-                    .send(vec![encoded(job.conn, job.encoding, &resp)])
-                    .is_err()
-                {
-                    return false;
-                }
-            }
-            Err(e) => {
-                // A malformed frame has no state effect — answer
-                // it inline without breaking the ingest run. (Its
-                // connection cannot have an ingest pending: one
-                // request per connection is in flight at a time.)
-                ServerStats::bump(&service.stats.frames_errored);
-                answered.borrow_mut().push(job.conn);
-                if done
-                    .send(vec![encoded(job.conn, job.encoding, &error_response(&e))])
-                    .is_err()
-                {
-                    return false;
-                }
-            }
+        if let Some(hold) = faults.stall_duration() {
+            std::thread::sleep(hold);
         }
     }
-    flush_ingests(&mut pending, &mut pending_encs, done, service, answered)
-}
-
-/// Dispatches the accumulated ingest run as one batched evaluation and
-/// sends every response in a single completion message. Returns false
-/// once the core is gone.
-fn flush_ingests(
-    pending: &mut Vec<(u64, u64, CounterSample)>,
-    pending_encs: &mut Vec<Encoding>,
-    done: &Sender<Vec<Completion>>,
-    service: &Service,
-    answered: &std::cell::RefCell<Vec<u64>>,
-) -> bool {
-    if pending.is_empty() {
-        return true;
+    match Request::from_json_value(&job.frame) {
+        Ok(req) => service.handle(job.client, req),
+        Err(e) => {
+            ServerStats::bump(&service.stats.frames_errored);
+            error_response(&e)
+        }
     }
-    let encs = std::mem::take(pending_encs);
-    let responses = service.handle_ingest_batch(std::mem::take(pending));
-    answered
-        .borrow_mut()
-        .extend(responses.iter().map(|(conn, _)| *conn));
-    done.send(
-        // `handle_ingest_batch` answers every batch slot in request
-        // order, so the encodings zip back positionally.
-        responses
-            .iter()
-            .zip(encs)
-            .map(|((conn, resp), enc)| encoded(*conn, enc, resp))
-            .collect(),
-    )
-    .is_ok()
 }
 
-/// The readiness core: owns listeners and connections, sweeps them.
+/// The readiness core: owns the listener and connections, sweeps them.
 struct Core {
-    listeners: Vec<Listener>,
+    /// `None` once drain begins (no new connections).
+    listener: Option<TcpListener>,
     conns: HashMap<u64, Conn>,
     next_id: u64,
     /// Requests running or queued across all connections.
     inflight: usize,
     /// `None` once drain begins (dropping it retires idle workers).
     job_tx: Option<SyncSender<Job>>,
-    /// Finished work arrives in groups: one message per shed set,
-    /// per batched ingest run, or per individual op.
-    done_rx: Receiver<Vec<Completion>>,
+    /// Finished work: one message per job.
+    done_rx: Receiver<Completion>,
     service: Arc<Service>,
     stop: Arc<AtomicBool>,
 }
@@ -1422,7 +1085,7 @@ impl Core {
         loop {
             if drain_start.is_none() && self.stop.load(Ordering::SeqCst) {
                 drain_start = Some(Instant::now());
-                self.listeners.clear(); // stop accepting
+                self.listener = None; // stop accepting
                 self.job_tx = None; // workers exit once the queue drains
             }
             let draining = drain_start.is_some();
@@ -1501,11 +1164,7 @@ impl Core {
                 }
             };
             match self.done_rx.recv_timeout(nap) {
-                Ok(items) => {
-                    for (id, resp) in items {
-                        self.complete(id, resp);
-                    }
-                }
+                Ok((id, resp)) => self.complete(id, resp),
                 Err(RecvTimeoutError::Timeout) => {}
                 // All workers gone (only during drain, or a panic):
                 // keep sweeping on a timer.
@@ -1519,36 +1178,29 @@ impl Core {
     fn accept(&mut self, cfg: &ServerConfig) -> bool {
         let mut progress = false;
         let now = Instant::now();
-        for i in 0..self.listeners.len() {
-            loop {
-                let accepted = self.listeners[i].accept();
-                match accepted {
-                    Ok(mut stream) => {
-                        progress = true;
-                        if self.conns.len() >= cfg.max_connections {
-                            ServerStats::bump(&self.service.stats.connections_shed);
-                            if let Ok(bytes) =
-                                encode_frame(&error_response(&ServeError::Overloaded {
-                                    retry_after_ms: cfg.retry_after_ms,
-                                }))
-                            {
-                                // A fresh socket buffer always takes a
-                                // tiny frame; best effort regardless.
-                                let _ = stream.write(&bytes);
-                            }
-                            stream.close();
-                            continue;
-                        }
-                        let id = self.next_id;
-                        self.next_id += 1;
-                        self.conns.insert(id, Conn::new(stream, now, id));
-                        ServerStats::bump(&self.service.stats.connections_accepted);
-                        ServerStats::bump(&self.service.stats.connections_open);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(_) => break,
+        let Some(listener) = &self.listener else {
+            return false;
+        };
+        // Any error, `WouldBlock` included, ends this round of accepts.
+        while let Ok(mut stream) = accept_nonblocking(listener) {
+            progress = true;
+            if self.conns.len() >= cfg.max_connections {
+                ServerStats::bump(&self.service.stats.connections_shed);
+                if let Ok(bytes) = encode_frame(&error_response(&ServeError::Overloaded {
+                    retry_after_ms: cfg.retry_after_ms,
+                })) {
+                    // A fresh socket buffer always takes a tiny frame;
+                    // best effort regardless.
+                    let _ = stream.write(&bytes);
                 }
+                let _ = stream.shutdown(Shutdown::Both);
+                continue;
             }
+            let id = self.next_id;
+            self.next_id += 1;
+            self.conns.insert(id, Conn::new(stream, now, id));
+            ServerStats::bump(&self.service.stats.connections_accepted);
+            ServerStats::bump(&self.service.stats.connections_open);
         }
         progress
     }
@@ -1556,11 +1208,9 @@ impl Core {
     /// Drains finished requests into their connections' write buffers.
     fn pump_completions(&mut self) -> bool {
         let mut progress = false;
-        while let Ok(items) = self.done_rx.try_recv() {
+        while let Ok((id, resp)) = self.done_rx.try_recv() {
             progress = true;
-            for (id, resp) in items {
-                self.complete(id, resp);
-            }
+            self.complete(id, resp);
         }
         progress
     }
@@ -1582,7 +1232,7 @@ impl Core {
 
     fn close_conn(&mut self, id: u64) {
         if let Some(conn) = self.conns.remove(&id) {
-            conn.stream.close();
+            let _ = conn.stream.shutdown(Shutdown::Both);
             // Ephemeral engine state dies with the connection; a
             // resumed (token-keyed) window outlives it by design.
             if conn.client == id {
@@ -2340,74 +1990,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_pins_model_version_across_activate_and_rollback() {
-        use crate::test_fixtures::{tiny_dataset, tiny_model};
-        let registry = Arc::new(ModelRegistry::default());
-        registry
-            .load_and_activate(ModelArtifact::new("hsw", tiny_model()))
-            .unwrap();
-        let config = ServerConfig::default();
-        let service = Service {
-            registry: Arc::clone(&registry),
-            engine: EstimatorEngine::new(config.engine),
-            stats: Arc::new(ServerStats::default()),
-            health: Arc::new(HealthState::default()),
-            trainer: Arc::new(Trainer::new(config.trainer.clone())),
-            config,
-        };
-
-        // Resolve the serving pair at assembly time, then churn the
-        // registry the way a concurrent activate + rollback would
-        // while the batch is in flight, leaving v2 active.
-        let (active, previous) = registry.serving_pair();
-        registry
-            .load_and_activate(ModelArtifact::new("hsw", tiny_model()))
-            .unwrap();
-        registry.rollback().unwrap();
-        registry.activate("hsw", 2).unwrap();
-
-        let m = tiny_model();
-        let data = tiny_dataset(4);
-        let batch: Vec<(u64, u64, CounterSample)> = data
-            .rows()
-            .iter()
-            .take(4)
-            .enumerate()
-            .map(|(i, row)| {
-                let avail = 24.0 * row.freq_mhz as f64 * 1e6 * row.duration_s;
-                let sample = CounterSample {
-                    time_ns: (i as u64 + 1) * 1_000_000,
-                    duration_s: row.duration_s,
-                    freq_mhz: row.freq_mhz,
-                    voltage: row.voltage,
-                    deltas: m.events.iter().map(|e| row.rate(*e) * avail).collect(),
-                    missing: vec![],
-                };
-                (i as u64 + 1, i as u64 + 1, sample)
-            })
-            .collect();
-
-        // The in-flight batch is served entirely by the pinned v1
-        // pair, untouched by the churn…
-        let responses = service.run_pinned(batch.clone(), active, previous);
-        assert_eq!(responses.len(), 4);
-        for (_, resp) in responses {
-            let est =
-                crate::engine::Estimate::from_json_value(&unwrap_response(resp).unwrap()).unwrap();
-            assert_eq!(est.version, 1, "pinned batch must not see the churn");
-            assert!(!est.degraded, "pinned pair is coherent — no fallback");
-        }
-        // …while the next batch resolves freshly and sees v2.
-        let (_, resp) = service
-            .handle_ingest_batch(vec![batch.into_iter().next().unwrap()])
-            .pop()
-            .unwrap();
-        let est =
-            crate::engine::Estimate::from_json_value(&unwrap_response(resp).unwrap()).unwrap();
-        assert_eq!(est.version, 2);
-    }
-
-    #[test]
     fn drain_finishes_inflight_work_and_notifies_clients() {
         let cfg = ServerConfig {
             workers: 1,
@@ -2430,25 +2012,6 @@ mod tests {
             server.stats().drain_duration_ms.load(Ordering::Relaxed) >= 20,
             "drain should have waited for the in-flight ping"
         );
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn uds_listener_serves_the_same_protocol() {
-        let path = std::env::temp_dir().join(format!("pmc-serve-test-{}.sock", std::process::id()));
-        let path_str = path.to_string_lossy().into_owned();
-        let cfg = ServerConfig {
-            uds_path: Some(path_str.clone()),
-            ..ServerConfig::default()
-        };
-        let mut server = PowerServer::start(cfg, Arc::new(ModelRegistry::default())).unwrap();
-        assert_eq!(server.uds_path(), Some(path_str.as_str()));
-        let mut c = std::os::unix::net::UnixStream::connect(&path).unwrap();
-        let stats = request(&mut c, &Request::Stats).unwrap();
-        assert!(stats.field("server").is_ok());
-        server.shutdown();
-        // The socket file is cleaned up on shutdown.
-        assert!(!path.exists());
     }
 
     #[test]

@@ -43,18 +43,6 @@ pub struct ServerStats {
     /// Wall-clock duration of the last graceful drain, milliseconds.
     /// Zero until a drain has completed.
     pub drain_duration_ms: AtomicU64,
-    /// Coalesced ingest batches dispatched to the model (each is one
-    /// batched prediction call, whatever its size).
-    pub batches_dispatched: AtomicU64,
-    /// Ingest requests that went through the batch path (equals
-    /// `samples_ingested` + per-request ingest errors).
-    pub batched_requests: AtomicU64,
-    /// Batches dispatched because the oldest request's linger budget
-    /// ran out before the batch filled to `batch_max`.
-    pub batch_linger_timeouts: AtomicU64,
-    /// Batch-size histogram: how many batches landed in each fill
-    /// bucket — 1, 2–3, 4–7, 8–15, 16–31, and 32+ requests.
-    pub batch_fill: [AtomicU64; 6],
     /// Worker threads that died to a panic while running a job (each
     /// in-flight request got a typed `internal_error` response).
     pub worker_panics: AtomicU64,
@@ -106,13 +94,6 @@ pub struct ServerStats {
     pub shadow_mape_bits: AtomicU64,
 }
 
-/// Upper-exclusive bucket bounds of [`ServerStats::batch_fill`]; the
-/// last bucket is unbounded.
-const BATCH_FILL_BOUNDS: [u64; 5] = [2, 4, 8, 16, 32];
-/// Snapshot keys for [`ServerStats::batch_fill`], aligned with
-/// [`BATCH_FILL_BOUNDS`].
-const BATCH_FILL_KEYS: [&str; 6] = ["1", "2-3", "4-7", "8-15", "16-31", "32+"];
-
 impl ServerStats {
     /// Bumps a counter by one.
     pub fn bump(counter: &AtomicU64) {
@@ -124,16 +105,6 @@ impl ServerStats {
         let _ = gauge.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
             Some(v.saturating_sub(1))
         });
-    }
-
-    /// Records one dispatched batch of `fill` requests in the fill
-    /// histogram.
-    pub fn record_batch_fill(&self, fill: usize) {
-        let bucket = BATCH_FILL_BOUNDS
-            .iter()
-            .position(|&bound| (fill as u64) < bound)
-            .unwrap_or(BATCH_FILL_BOUNDS.len());
-        Self::bump(&self.batch_fill[bucket]);
     }
 
     /// Every scalar counter as `(name, value)`, in a stable order.
@@ -164,9 +135,6 @@ impl ServerStats {
                 read(&self.requests_deadline_exceeded),
             ),
             ("drain_duration_ms", read(&self.drain_duration_ms)),
-            ("batches_dispatched", read(&self.batches_dispatched)),
-            ("batched_requests", read(&self.batched_requests)),
-            ("batch_linger_timeouts", read(&self.batch_linger_timeouts)),
             ("worker_panics", read(&self.worker_panics)),
             ("worker_respawns", read(&self.worker_respawns)),
             ("supervisor_flapping", read(&self.supervisor_flapping)),
@@ -212,24 +180,12 @@ impl ServerStats {
             .map(|(k, v)| (k.to_string(), Json::from(v)))
             .collect();
         fields.push(("shadow_mape".into(), Json::Num(self.shadow_mape())));
-        fields.push((
-            "batch_fill".into(),
-            Json::Obj(
-                BATCH_FILL_KEYS
-                    .iter()
-                    .zip(&self.batch_fill)
-                    .map(|(k, c)| (k.to_string(), Json::from(c.load(Ordering::Relaxed))))
-                    .collect(),
-            ),
-        ));
         Json::Obj(fields)
     }
 
     /// Prometheus text exposition of every counter: one
     /// `# TYPE`-annotated `pmc_serve_<name>` sample per scalar, plus
-    /// the batch-fill histogram as a cumulative
-    /// `pmc_serve_batch_fill_bucket{le="..."}` series with `+Inf` and
-    /// `_count`. Scraped via the `metrics` op.
+    /// the shadow-MAPE gauge. Scraped via the `metrics` op.
     pub fn prometheus(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -248,24 +204,6 @@ impl ServerStats {
         }
         let _ = writeln!(out, "# TYPE pmc_serve_shadow_mape gauge");
         let _ = writeln!(out, "pmc_serve_shadow_mape {}", self.shadow_mape());
-        let _ = writeln!(out, "# TYPE pmc_serve_batch_fill histogram");
-        let mut cumulative = 0u64;
-        for (bound, cell) in BATCH_FILL_BOUNDS.iter().zip(&self.batch_fill) {
-            cumulative += cell.load(Ordering::Relaxed);
-            // Buckets are upper-exclusive internally; Prometheus `le`
-            // is inclusive, hence bound - 1.
-            let _ = writeln!(
-                out,
-                "pmc_serve_batch_fill_bucket{{le=\"{}\"}} {cumulative}",
-                bound - 1
-            );
-        }
-        cumulative += self.batch_fill[BATCH_FILL_BOUNDS.len()].load(Ordering::Relaxed);
-        let _ = writeln!(
-            out,
-            "pmc_serve_batch_fill_bucket{{le=\"+Inf\"}} {cumulative}"
-        );
-        let _ = writeln!(out, "pmc_serve_batch_fill_count {cumulative}");
         out
     }
 }
@@ -289,47 +227,19 @@ mod tests {
     }
 
     #[test]
-    fn batch_fill_buckets_cover_all_sizes() {
-        let s = ServerStats::default();
-        for fill in [1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 500] {
-            s.record_batch_fill(fill);
-        }
-        let snap = s.snapshot();
-        let hist = snap.field("batch_fill").unwrap();
-        for (key, expected) in [
-            ("1", 1),
-            ("2-3", 2),
-            ("4-7", 2),
-            ("8-15", 2),
-            ("16-31", 2),
-            ("32+", 2),
-        ] {
-            assert_eq!(hist.u64_field(key).unwrap(), expected, "bucket {key}");
-        }
-    }
-
-    #[test]
-    fn prometheus_exposes_every_scalar_and_the_histogram() {
+    fn prometheus_exposes_every_scalar() {
         let s = ServerStats::default();
         ServerStats::bump(&s.worker_panics);
         ServerStats::bump(&s.checkpoints_written);
         ServerStats::bump(&s.checkpoints_written);
-        s.record_batch_fill(1);
-        s.record_batch_fill(5);
-        s.record_batch_fill(100);
         let text = s.prometheus();
         assert!(text.contains("pmc_serve_worker_panics 1\n"));
         assert!(text.contains("pmc_serve_checkpoints_written 2\n"));
         assert!(text.contains("# TYPE pmc_serve_worker_panics counter\n"));
         assert!(text.contains("# TYPE pmc_serve_connections_open gauge\n"));
-        // Histogram buckets are cumulative and end with +Inf == count.
-        assert!(text.contains("pmc_serve_batch_fill_bucket{le=\"1\"} 1\n"));
-        assert!(text.contains("pmc_serve_batch_fill_bucket{le=\"7\"} 2\n"));
-        assert!(text.contains("pmc_serve_batch_fill_bucket{le=\"+Inf\"} 3\n"));
-        assert!(text.contains("pmc_serve_batch_fill_count 3\n"));
         // Every scalar in the JSON snapshot has a Prometheus sample.
         if let Json::Obj(fields) = s.snapshot() {
-            for (name, _) in fields.iter().filter(|(n, _)| n != "batch_fill") {
+            for (name, _) in &fields {
                 assert!(
                     text.contains(&format!("pmc_serve_{name} ")),
                     "{name} missing from scrape"

@@ -1,10 +1,9 @@
-//! End-to-end tests for the coalescing batch scheduler in `pmc-serve`:
-//! a burst of concurrent ingests must be answered through *fewer*
-//! batched dispatches than requests, pipelined requests on one
-//! connection must come back in request order, requests that outlive
-//! the queue deadline must be shed with a typed `overloaded` frame
-//! before they ever join a batch, and one bad row in a coalesced batch
-//! must degrade only its own request.
+//! End-to-end tests for how `pmc-serve` workers take queued requests,
+//! one job per dequeue: pipelined requests on one connection must come
+//! back in request order, requests that outlive the queue deadline
+//! must be shed with a typed `overloaded` frame before they execute,
+//! and one bad row queued among clean neighbours must degrade only its
+//! own request.
 
 use pmc_serve::protocol::{read_frame, unwrap_response, write_frame, Request};
 use pmc_serve::registry::ModelRegistry;
@@ -62,66 +61,10 @@ fn sample(time_ns: u64, k: u64) -> CounterSample {
 }
 
 #[test]
-fn burst_of_ingests_coalesces_into_fewer_dispatches() {
-    const CLIENTS: usize = 64;
-    let cfg = ServerConfig {
-        // One worker so the ping below holds the whole pool while the
-        // burst queues up behind it.
-        workers: 1,
-        queue_depth: CLIENTS + 2,
-        max_inflight: CLIENTS + 2,
-        max_connections: CLIENTS + 8,
-        queue_deadline: Some(Duration::from_secs(10)),
-        batch_max: 32,
-        ..ServerConfig::default()
-    };
-    let mut server = PowerServer::start(cfg, Arc::new(ModelRegistry::default())).unwrap();
-    let addr = server.addr();
-    let mut admin = PowerClient::connect(addr).unwrap();
-    admin.load_model("hsw", &tiny_model(), true).unwrap();
-
-    // Occupy the only worker, then land the burst in its queue.
-    let mut holder = TcpStream::connect(addr).unwrap();
-    write_frame(
-        &mut holder,
-        &Request::Ping { delay_ms: 200 }.to_json_value(),
-    )
-    .unwrap();
-    std::thread::sleep(Duration::from_millis(50)); // ping is in flight
-
-    let handles: Vec<_> = (0..CLIENTS)
-        .map(|i| {
-            std::thread::spawn(move || {
-                let mut c = PowerClient::connect(addr).unwrap();
-                c.ingest(&sample(1_000_000 * (i as u64 + 1), i as u64))
-            })
-        })
-        .collect();
-    for h in handles {
-        let est = h.join().expect("ingest client panicked").unwrap();
-        assert!(est.power_w.is_finite());
-    }
-    let _ = read_frame(&mut holder); // collect the pong
-
-    let stats = server.stats();
-    let dispatched = stats.batches_dispatched.load(Ordering::Relaxed);
-    let batched = stats.batched_requests.load(Ordering::Relaxed);
-    assert_eq!(batched, CLIENTS as u64, "every ingest rides the batch path");
-    assert!(
-        dispatched < batched,
-        "64 queued ingests must coalesce ({dispatched} dispatches for {batched} requests)"
-    );
-    assert_eq!(stats.requests_shed.load(Ordering::Relaxed), 0);
-    server.shutdown();
-}
-
-#[test]
 fn pipelined_requests_on_one_connection_answer_in_order() {
     const DEPTH: u64 = 12;
     let cfg = ServerConfig {
         workers: 2,
-        batch_max: 8,
-        batch_linger: Duration::from_micros(300),
         ..ServerConfig::default()
     };
     let mut server = PowerServer::start(cfg, Arc::new(ModelRegistry::default())).unwrap();
@@ -130,7 +73,7 @@ fn pipelined_requests_on_one_connection_answer_in_order() {
 
     // Write all frames before reading anything back: the echoed
     // `time_ns` values prove responses arrive in request order even
-    // when the server coalesces.
+    // with two workers taking jobs.
     let mut c = TcpStream::connect(server.addr()).unwrap();
     for i in 1..=DEPTH {
         write_frame(&mut c, &Request::Ingest(sample(i, i)).to_json_value()).unwrap();
@@ -151,7 +94,6 @@ fn stale_requests_are_shed_with_typed_overload_not_batched() {
         queue_depth: 16,
         max_inflight: 16,
         queue_deadline: Some(Duration::from_millis(30)),
-        batch_max: 32,
         ..ServerConfig::default()
     };
     let mut server = PowerServer::start(cfg, Arc::new(ModelRegistry::default())).unwrap();
@@ -193,12 +135,6 @@ fn stale_requests_are_shed_with_typed_overload_not_batched() {
     let stats = server.stats();
     assert!(shed >= 1, "deadline-expired requests must be shed");
     assert_eq!(stats.requests_shed.load(Ordering::Relaxed), shed as u64);
-    // Shed requests never entered a batch: the batch path saw exactly
-    // the requests that were answered with an estimate.
-    assert_eq!(
-        stats.batched_requests.load(Ordering::Relaxed),
-        6 - shed as u64
-    );
     server.shutdown();
 }
 
@@ -209,7 +145,6 @@ fn one_bad_row_in_a_coalesced_batch_degrades_only_itself() {
         workers: 1,
         queue_depth: 16,
         max_inflight: 16,
-        batch_max: 16,
         ..ServerConfig::default()
     };
     let mut server = PowerServer::start(cfg, Arc::new(ModelRegistry::default())).unwrap();
@@ -217,9 +152,9 @@ fn one_bad_row_in_a_coalesced_batch_degrades_only_itself() {
     let mut admin = PowerClient::connect(addr).unwrap();
     admin.load_model("hsw", &tiny_model(), true).unwrap();
 
-    // Queue the whole group behind a held worker so they coalesce into
-    // one batch: NEIGHBORS clean rows plus one with an unreadable
-    // counter (declared missing, no history to substitute from).
+    // Queue the whole group behind a held worker so they run back to
+    // back: NEIGHBORS clean rows plus one with an unreadable counter
+    // (declared missing, no history to substitute from).
     let mut holder = TcpStream::connect(addr).unwrap();
     write_frame(
         &mut holder,
@@ -262,9 +197,5 @@ fn one_bad_row_in_a_coalesced_batch_degrades_only_itself() {
 
     let stats = server.stats();
     assert_eq!(stats.degraded_estimates.load(Ordering::Relaxed), 1);
-    assert_eq!(
-        stats.batched_requests.load(Ordering::Relaxed),
-        NEIGHBORS as u64 + 1
-    );
     server.shutdown();
 }

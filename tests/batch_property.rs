@@ -1,24 +1,26 @@
-//! Equivalence property for the coalescing batch scheduler and the
-//! wire codec: for seeded random interleavings of N concurrent
-//! clients streaming samples against M models (an active model plus a
-//! previous-version fallback of a different width), every cell of the
-//! {JSON, binary} × {`batch_max = 1`, coalesced columnar} matrix must
-//! produce **bitwise identical** per-client response sequences to the
-//! JSON `batch_max = 1` reference (the scalar kernel, no coalescing).
+//! Equivalence property for the served ingest path and the wire codec:
+//! for seeded random interleavings of N concurrent clients streaming
+//! samples against M models (an active model plus a previous-version
+//! fallback of a different width), a server spoken to in JSON and one
+//! spoken to in `PMCB1` binary must both answer every client exactly
+//! as an in-process sequential replay of that client's samples does —
+//! however the clients' requests interleave across the workers.
 //!
-//! The comparison keys on `f64::to_bits` of every power field — the
-//! in-tree JSON codec round-trips f64 exactly, so any arithmetic
-//! divergence between the batched and sequential ingest paths shows
-//! up as a hard bit mismatch, not a tolerance failure. Errors count
-//! too: a request refused on one server must be refused identically
-//! on the other.
+//! The comparison keys on `f64::to_bits` of every power field — both
+//! codecs round-trip f64 exactly, so any arithmetic divergence between
+//! the served and replayed ingests shows up as a hard bit mismatch,
+//! not a tolerance failure. Errors count too: a request the replay
+//! refuses must be refused identically by the server.
 //!
 //! Seeds come from `BATCH_SEED` (one run) or default to a small
 //! matrix, mirroring the chaos suite's `CHAOS_SEED` convention.
 
+use pmc_serve::protocol::{error_response, unwrap_response};
 use pmc_serve::registry::ModelRegistry;
 use pmc_serve::server::{PowerServer, ServerConfig};
-use pmc_serve::{CounterSample, Encoding, PowerClient, ServeError};
+use pmc_serve::{
+    CounterSample, Encoding, EngineConfig, EstimatorEngine, ModelArtifact, PowerClient, ServeError,
+};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -57,6 +59,21 @@ fn fit(events: &[pmc_events::PapiEvent]) -> pmc_model::model::PowerModel {
         .collect();
     let data = pmc_model::dataset::Dataset::from_rows(rows);
     pmc_model::model::PowerModel::fit(&data, events).unwrap()
+}
+
+/// The two served models: wide (loaded first, v1, the fallback) and
+/// narrow (v2, active).
+fn models() -> (pmc_model::model::PowerModel, pmc_model::model::PowerModel) {
+    let wide = fit(&[
+        pmc_events::PapiEvent::PRF_DM,
+        pmc_events::PapiEvent::TOT_CYC,
+        pmc_events::PapiEvent::TLB_IM,
+    ]);
+    let narrow = fit(&[
+        pmc_events::PapiEvent::PRF_DM,
+        pmc_events::PapiEvent::TOT_CYC,
+    ]);
+    (wide, narrow)
 }
 
 /// One client's full sample schedule, derived from the seed alone so
@@ -135,23 +152,60 @@ fn outcome(result: Result<pmc_serve::Estimate, ServeError>) -> Outcome {
     }
 }
 
+/// The reference: each client's schedule replayed in process, one
+/// `ingest` after another, serving a sample the active model cannot
+/// read from the previous version (flagged `stale_model`) the way the
+/// server does. Errors go through the wire's error frame so they
+/// compare like the ones a client decodes.
+fn replay(seed: u64) -> Vec<Vec<Outcome>> {
+    let (wide, narrow) = models();
+    let artifact = |model, version| {
+        let mut a = ModelArtifact::new("hsw", model);
+        a.version = version;
+        Arc::new(a)
+    };
+    let (previous, active) = (artifact(wide, 1), artifact(narrow, 2));
+    let engine = EstimatorEngine::new(EngineConfig::default());
+    (0..CLIENTS)
+        .map(|id| {
+            let client = id as u64;
+            schedule(seed, id)
+                .iter()
+                .map(|s| {
+                    let result = match engine.ingest(client, s, &active) {
+                        Err(ServeError::WidthMismatch { .. })
+                            if s.deltas.len() == previous.model.events.len() =>
+                        {
+                            engine.ingest(client, s, &previous).map(|mut est| {
+                                est.degraded = true;
+                                est.degraded_reasons.push("stale_model:hsw@v1".into());
+                                est
+                            })
+                        }
+                        other => other,
+                    };
+                    outcome(result.map_err(|e| unwrap_response(error_response(&e)).unwrap_err()))
+                })
+                .collect()
+        })
+        .collect()
+}
+
 /// Starts a server with both models loaded (wide v1 previous, narrow
 /// v2 active), drives all clients concurrently with seeded jitter —
 /// each speaking `encoding` on the wire, negotiated with a leading
 /// `hello` — and returns each client's response sequence.
-fn run_server(cfg: ServerConfig, seed: u64, encoding: Encoding) -> Vec<Vec<Outcome>> {
+fn run_server(seed: u64, encoding: Encoding) -> Vec<Vec<Outcome>> {
+    let cfg = ServerConfig {
+        workers: 2,
+        queue_depth: 64,
+        max_inflight: 64,
+        ..ServerConfig::default()
+    };
     let mut server = PowerServer::start(cfg, Arc::new(ModelRegistry::default())).unwrap();
     let addr = server.addr();
     let mut admin = PowerClient::connect(addr).unwrap();
-    let wide = fit(&[
-        pmc_events::PapiEvent::PRF_DM,
-        pmc_events::PapiEvent::TOT_CYC,
-        pmc_events::PapiEvent::TLB_IM,
-    ]);
-    let narrow = fit(&[
-        pmc_events::PapiEvent::PRF_DM,
-        pmc_events::PapiEvent::TOT_CYC,
-    ]);
+    let (wide, narrow) = models();
     assert_eq!(admin.load_model("hsw", &wide, true).unwrap(), 1);
     assert_eq!(admin.load_model("hsw", &narrow, true).unwrap(), 2);
 
@@ -185,46 +239,25 @@ fn run_server(cfg: ServerConfig, seed: u64, encoding: Encoding) -> Vec<Vec<Outco
 }
 
 #[test]
-fn encoding_batching_matrix_is_bitwise_identical_to_reference() {
+fn json_and_binary_servers_answer_like_a_sequential_replay() {
     let seeds: Vec<u64> = match std::env::var("BATCH_SEED") {
         Ok(s) => vec![s.parse().expect("BATCH_SEED must be a u64")],
         Err(_) => vec![1, 2, 3],
     };
     for seed in seeds {
-        let base = ServerConfig {
-            workers: 2,
-            queue_depth: 64,
-            max_inflight: 64,
-            ..ServerConfig::default()
-        };
-        let sequential = ServerConfig {
-            batch_max: 1,
-            ..base.clone()
-        };
-        let coalesced = ServerConfig {
-            batch_max: 32,
-            batch_linger: Duration::from_micros(300),
-            ..base
-        };
-        // The scalar kernel over JSON is the reference cell; the other
-        // three cells of {json, binary} × {sequential, coalesced} must
-        // match it bitwise. The coalesced cells exercise the columnar
-        // kernel; the binary cells exercise the PMCB1 codec.
-        let reference = run_server(sequential.clone(), seed, Encoding::Json);
-        let variants: [(&str, ServerConfig, Encoding); 3] = [
-            ("json+coalesced", coalesced.clone(), Encoding::Json),
-            ("binary+sequential", sequential, Encoding::Binary),
-            ("binary+coalesced", coalesced, Encoding::Binary),
-        ];
-        for (label, cfg, enc) in variants {
-            let got = run_server(cfg, seed, enc);
+        let reference = replay(seed);
+        for enc in [Encoding::Json, Encoding::Binary] {
+            let got = run_server(seed, enc);
             for (id, (want, have)) in reference.iter().zip(&got).enumerate() {
                 assert_eq!(want.len(), SAMPLES_PER_CLIENT);
+                assert_eq!(have.len(), SAMPLES_PER_CLIENT);
                 for (i, (w, g)) in want.iter().zip(have).enumerate() {
                     assert_eq!(
-                        w, g,
+                        w,
+                        g,
                         "seed {seed}: client {id} sample {i} diverged between \
-                         json+sequential and {label}"
+                         the sequential replay and the {} server",
+                        enc.as_str()
                     );
                 }
             }

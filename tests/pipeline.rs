@@ -187,6 +187,6 @@ fn online_prediction_matches_batch_prediction() {
         let online = model
             .predict_raw(&rates, row.voltage, row.freq_mhz)
             .unwrap();
-        assert!((online - model.predict_row(row)).abs() < 1e-9);
+        assert_eq!(online.to_bits(), model.predict_row(row).to_bits());
     }
 }

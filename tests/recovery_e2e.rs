@@ -508,7 +508,6 @@ fn health_surface_distinguishes_liveness_from_readiness() {
         "# TYPE pmc_serve_checkpoints_written counter",
         "# TYPE pmc_serve_workers_stuck gauge",
         "pmc_serve_frames_received",
-        "pmc_serve_batch_fill_bucket{le=\"+Inf\"}",
     ] {
         assert!(
             scrape.contains(needle),
