@@ -44,11 +44,6 @@ pub enum LinalgError {
         /// Provided number of elements.
         got: usize,
     },
-    /// A rank-1 inverse update became numerically meaningless: the
-    /// Sherman–Morrison denominator (or an intermediate product) was
-    /// non-finite or vanishingly small. The caller should discard the
-    /// maintained inverse and rebuild it from the exact Gram matrix.
-    UnstableUpdate,
 }
 
 impl fmt::Display for LinalgError {
@@ -71,10 +66,6 @@ impl fmt::Display for LinalgError {
             LinalgError::BadConstruction { expected, got } => write!(
                 f,
                 "constructor dimension mismatch: expected {expected} elements, got {got}"
-            ),
-            LinalgError::UnstableUpdate => write!(
-                f,
-                "rank-1 inverse update is numerically unstable; rebuild from the exact Gram matrix"
             ),
         }
     }

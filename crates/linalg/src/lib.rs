@@ -8,13 +8,12 @@
 //!
 //! * a row-major dense [`Matrix`] with the usual structural operations,
 //! * [Cholesky](chol::Cholesky) factorization of symmetric positive
-//!   definite matrices (used for normal-equation solves and SPD
-//!   inverses, e.g. `(XᵀX)⁻¹` in OLS covariance computations),
+//!   definite matrices (used for normal-equation solves — the
+//!   streaming fit of the online-learning loop factors its exact
+//!   `XᵀX` after every observation — and SPD inverses, e.g. `(XᵀX)⁻¹`
+//!   in OLS covariance computations),
 //! * Householder [QR](qr::Qr) factorization with a least-squares solver
 //!   (the numerically preferred path for regression fits),
-//! * a rank-1 symmetric inverse update
-//!   ([`sherman_morrison_update`]) for streaming `(XᵀX)⁻¹`
-//!   maintenance in the online-learning loop,
 //! * triangular solves and small utility routines.
 //!
 //! The matrices in the power-modeling workload are tiny by HPC standards
@@ -51,7 +50,6 @@ mod chol;
 mod error;
 mod matrix;
 mod qr;
-mod sherman;
 mod triangular;
 mod vecops;
 
@@ -59,7 +57,6 @@ pub use chol::Cholesky;
 pub use error::LinalgError;
 pub use matrix::Matrix;
 pub use qr::Qr;
-pub use sherman::sherman_morrison_update;
 pub use triangular::{solve_lower, solve_upper};
 pub use vecops::{axpy, dot, mean, norm2, scale, sub};
 

@@ -151,7 +151,7 @@ fn recover_record(
     // Dead owner: gather every candidate copy and keep the freshest.
     let mut best: Option<Recovered> = None;
     if let Some(path) = &backend.spec.checkpoint {
-        if let CheckpointOutcome::Restored(data) = load_checkpoint(path) {
+        if let CheckpointOutcome::Restored { data, .. } = load_checkpoint(path) {
             let key = resume_key(token);
             if let Some(snap) = data.clients.iter().find(|snap| snap.client == key) {
                 best = Some(Recovered {

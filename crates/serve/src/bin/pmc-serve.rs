@@ -216,8 +216,17 @@ fn serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 
     let mut server = PowerServer::start(config, registry)?;
     match server.checkpoint_restore() {
-        Some(pmc_serve::server::CheckpointRestore::Restored { clients, active }) => {
+        Some(pmc_serve::server::CheckpointRestore::Restored {
+            clients,
+            active,
+            training_dropped,
+        }) => {
             eprintln!("checkpoint restored: {clients} client window(s) warm");
+            if let Some(reason) = training_dropped {
+                eprintln!(
+                    "checkpoint training section dropped ({reason}) — training restarts cold"
+                );
+            }
             if let Some((name, version)) = active {
                 eprintln!("checkpoint active-model pin: {name} v{version}");
             }

@@ -58,7 +58,13 @@ pub enum CheckpointOutcome {
     /// No checkpoint file exists — a genuine cold start.
     NotFound,
     /// The checkpoint verified and decoded; state can be restored.
-    Restored(CheckpointData),
+    Restored {
+        /// The decoded state.
+        data: Box<CheckpointData>,
+        /// Why a present but malformed training section was dropped
+        /// (training restarts cold; everything else restores).
+        training_dropped: Option<String>,
+    },
     /// The file was torn or corrupt. It has been moved aside (to
     /// `<path>.corrupt`, best effort) and the server must cold-start.
     Quarantined {
@@ -315,8 +321,10 @@ pub fn encode_checkpoint(data: &CheckpointData) -> String {
     format!("{MAGIC} {:08x}\n{payload}", crc32(payload.as_bytes()))
 }
 
-/// Parses and CRC-verifies full checkpoint file content.
-pub fn decode_checkpoint(content: &str) -> Result<CheckpointData, ServeError> {
+/// Parses and CRC-verifies full checkpoint file content. Alongside the
+/// data comes the reason a malformed training section was dropped, if
+/// one was.
+pub fn decode_checkpoint(content: &str) -> Result<(CheckpointData, Option<String>), ServeError> {
     let bad = |reason: String| ServeError::Protocol { reason };
     let (header, payload) = content
         .split_once('\n')
@@ -338,22 +346,26 @@ pub fn decode_checkpoint(content: &str) -> Result<CheckpointData, ServeError> {
     if version != VERSION {
         return Err(bad(format!("unsupported checkpoint version {version}")));
     }
-    Ok(CheckpointData {
+    // Absent in checkpoints written before online learning (and
+    // tolerated if malformed, with the reason reported): the server
+    // restores with cold training rather than failing the boot —
+    // training state only costs warm-up, like the absent `seq`
+    // tolerance.
+    let (training, training_dropped) = match v.field("training").map(decode_training) {
+        Ok(Ok(t)) => (Some(t), None),
+        Ok(Err(e)) => (None, Some(format!("training section: {e}"))),
+        Err(_) => (None, None),
+    };
+    let data = CheckpointData {
         active: parse_model_id(v.field("active")?)?,
         clients: v
             .arr_field("clients")?
             .iter()
             .map(decode_client_record)
             .collect::<Result<Vec<_>, _>>()?,
-        // Absent in checkpoints written before online learning (and
-        // tolerated if malformed): the server restores with cold
-        // training rather than failing the boot — training state only
-        // costs warm-up, exactly like the absent `seq` tolerance.
-        training: match v.field("training") {
-            Ok(raw) => decode_training(raw).ok(),
-            Err(_) => None,
-        },
-    })
+        training,
+    };
+    Ok((data, training_dropped))
 }
 
 /// Writes a checkpoint atomically and durably. With a
@@ -389,7 +401,10 @@ pub fn load_checkpoint(path: &Path) -> CheckpointOutcome {
         }
     };
     match decode_checkpoint(&content) {
-        Ok(data) => CheckpointOutcome::Restored(data),
+        Ok((data, training_dropped)) => CheckpointOutcome::Restored {
+            data: Box::new(data),
+            training_dropped,
+        },
         Err(e) => quarantine(path, e.to_string()),
     }
 }
@@ -508,7 +523,7 @@ mod tests {
     fn encode_decode_roundtrips_bitwise() {
         let data = sample_data();
         let encoded = encode_checkpoint(&data);
-        let decoded = decode_checkpoint(&encoded).unwrap();
+        let (decoded, _) = decode_checkpoint(&encoded).unwrap();
         assert_data_eq(&data, &decoded);
         // Encoding is deterministic (stable checkpoint bytes).
         assert_eq!(encoded, encode_checkpoint(&decoded));
@@ -544,8 +559,9 @@ mod tests {
             !encoded.contains("\"training\""),
             "no-training checkpoints must keep the pre-training payload shape"
         );
-        let decoded = decode_checkpoint(&encoded).unwrap();
+        let (decoded, dropped) = decode_checkpoint(&encoded).unwrap();
         assert!(decoded.training.is_none());
+        assert!(dropped.is_none(), "an absent section is not a drop");
         assert_data_eq(&data, &decoded);
         // A malformed training section is dropped (cold training), not
         // a boot failure: everything else still restores.
@@ -561,8 +577,9 @@ mod tests {
         }
         let tampered = v.to_string();
         let retagged = format!("PMCCKPT1 {:08x}\n{tampered}", crc32(tampered.as_bytes()));
-        let decoded = decode_checkpoint(&retagged).unwrap();
+        let (decoded, dropped) = decode_checkpoint(&retagged).unwrap();
         assert!(decoded.training.is_none(), "malformed training must drop");
+        assert!(dropped.unwrap().starts_with("training section:"));
         assert_eq!(decoded.clients.len(), 2, "client windows must survive");
     }
 
@@ -585,7 +602,7 @@ mod tests {
         }
         let tampered = v.to_string();
         let retagged = format!("PMCCKPT1 {:08x}\n{tampered}", crc32(tampered.as_bytes()));
-        let decoded = decode_checkpoint(&retagged).unwrap();
+        let (decoded, _) = decode_checkpoint(&retagged).unwrap();
         let training = decoded.training.expect("training section must survive");
         assert!(training.guard.is_none());
         assert_eq!(training.accepted, u64::MAX - 5);
@@ -637,7 +654,10 @@ mod tests {
         let data = sample_data();
         write_checkpoint(&path, &data, None).unwrap();
         match load_checkpoint(&path) {
-            CheckpointOutcome::Restored(got) => assert_data_eq(&data, &got),
+            CheckpointOutcome::Restored {
+                data: got,
+                training_dropped: None,
+            } => assert_data_eq(&data, &got),
             other => panic!("expected restore, got {other:?}"),
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -669,7 +689,7 @@ mod tests {
         write_checkpoint(&path, &sample_data(), Some(&faults)).unwrap();
         assert!(matches!(
             load_checkpoint(&path),
-            CheckpointOutcome::Restored(_)
+            CheckpointOutcome::Restored { .. }
         ));
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -599,6 +599,10 @@ pub enum CheckpointRestore {
         clients: usize,
         /// The checkpointed active model id, if any.
         active: Option<(String, u32)>,
+        /// Why the checkpoint's training section (fit, score windows,
+        /// armed activation guard) was dropped, if it was: training
+        /// restarts cold.
+        training_dropped: Option<String>,
     },
     /// The checkpoint failed validation (torn write, CRC mismatch,
     /// garbage); it was moved aside and the server cold-started.
@@ -645,7 +649,10 @@ impl PowerServer {
         let restore = match &config.checkpoint_path {
             Some(path) => match load_checkpoint(path) {
                 CheckpointOutcome::NotFound => None,
-                CheckpointOutcome::Restored(data) => {
+                CheckpointOutcome::Restored {
+                    data,
+                    training_dropped,
+                } => {
                     let clients = engine.restore_clients(data.clients);
                     stats
                         .checkpoint_clients_restored
@@ -661,11 +668,18 @@ impl PowerServer {
                     // Online-learning state resumes bitwise (after the
                     // re-pin so the shadow candidate can rebuild
                     // against the active envelope). A malformed
-                    // section costs warm training, never the boot.
-                    if let Some(t) = &data.training {
-                        let active = registry.active();
-                        let _ = trainer.restore(t, active.as_ref().map(|a| &a.model));
-                    }
+                    // section costs warm training, never the boot —
+                    // and the reason is reported.
+                    let training_dropped = match &data.training {
+                        Some(t) => {
+                            let active = registry.active();
+                            trainer
+                                .restore(t, active.as_ref().map(|a| &a.model))
+                                .err()
+                                .map(|e| e.to_string())
+                        }
+                        None => training_dropped,
+                    };
                     // Age the restored checkpoint from the file itself,
                     // not from "now" — a probe should see how stale it is.
                     if let Some(ms) = std::fs::metadata(path)
@@ -679,6 +693,7 @@ impl PowerServer {
                     Some(CheckpointRestore::Restored {
                         clients,
                         active: data.active,
+                        training_dropped,
                     })
                 }
                 CheckpointOutcome::Quarantined {

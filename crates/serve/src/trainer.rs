@@ -10,8 +10,8 @@
 //!    poisoning vector), reusing [`pmc_model::quarantine`]'s reason
 //!    taxonomy.
 //! 2. **Shadow evaluation** — accepted samples feed an incremental OLS
-//!    refit ([`pmc_stats::OnlineOls`], rank-1 Sherman–Morrison updates
-//!    with a conditioning fallback). The refit candidate never answers
+//!    refit ([`pmc_stats::OnlineOls`]: exact Gram accumulators with a
+//!    fresh Cholesky factor per sample). The refit candidate never answers
 //!    clients; it is scored on live labels (rolling MAPE) against the
 //!    active model, and only auto-activated through the versioned
 //!    registry after beating the active model by a configurable margin
@@ -75,7 +75,9 @@ pub struct TrainerConfig {
     /// (counters scaled tens of ×) lands thousands of ×p/n out, so
     /// the default separates them with a wide margin at any `n`.
     pub leverage_factor: f64,
-    /// Full-refactorization cadence of the incremental fit.
+    /// Ignored. It was the refactorization cadence of a cached inverse
+    /// the incremental fit no longer keeps (the fit refactors its exact
+    /// `XᵀX` on every sample); it stays so existing callers compile.
     pub resync_every: u64,
     /// Plausibility envelope for labels, voltage, and counter rates.
     pub quarantine: QuarantineConfig,
@@ -365,7 +367,7 @@ impl Trainer {
             // A single far-out design row could otherwise steer the
             // whole incremental fit (the leverage poisoning vector).
             // Engages only once n ≥ 2p: a just-determined fit's
-            // near-singular inverse makes every new row look extreme.
+            // near-singular XᵀX makes every new row look extreme.
             if reasons.is_empty() && st.fit.is_warm() && st.fit.n() >= 2 * st.fit.width() as u64 {
                 if let Some(h) = st.fit.leverage(&row) {
                     let avg = st.fit.width() as f64 / st.fit.n().max(1) as f64;
@@ -440,8 +442,8 @@ impl Trainer {
             }
         }
 
-        // ---- Incremental refit (rank-1 update or conditioning
-        // fallback inside OnlineOls) and candidate rebuild. ----
+        // ---- Incremental refit (accumulate, refactor XᵀX) and
+        // candidate rebuild. ----
         st.fit
             .push(&row, power_w)
             .map_err(|e| ServeError::BadSample {
@@ -492,7 +494,7 @@ impl Trainer {
     }
 
     /// Builds the shadow candidate from the current fit (coefficients
-    /// via the maintained inverse). `None` while underdetermined.
+    /// solved through its Cholesky factor). `None` while cold.
     fn build_candidate(&self, st: &TrainerState, active: &PowerModel) -> Option<PowerModel> {
         if !st.fit.is_warm() {
             return None;
@@ -526,7 +528,7 @@ impl Trainer {
     }
 
     fn reset_training(&self, st: &mut TrainerState, events: &[PapiEvent]) {
-        st.fit = OnlineOls::new(events.len() + 3, self.config.resync_every);
+        st.fit = OnlineOls::new(events.len() + 3, 0);
         st.events = events.to_vec();
         st.candidate = None;
         st.active_apes.clear();
@@ -1002,11 +1004,35 @@ mod tests {
     fn guard_rides_snapshot_and_rolls_back_after_restore() {
         let registry = registry_with_tiny();
         let stats = ServerStats::default();
+        let snap = armed_guard_snapshot(&registry, &stats);
+        assert_guard_rolls_back_after_restore(&snap, &registry, &stats);
+    }
+
+    /// Checkpoints written while the fit cached `(XᵀX)⁻¹` carry the
+    /// six-word state layout with the inverse after the accumulators.
+    /// Restoring one keeps the training section — and so the armed
+    /// guard — instead of dropping it.
+    #[test]
+    fn legacy_fit_layout_restores_armed_guard() {
+        let registry = registry_with_tiny();
+        let stats = ServerStats::default();
+        let mut snap = armed_guard_snapshot(&registry, &stats);
+        let (p, n) = (snap.words[0], snap.words[1]);
+        snap.words = vec![p, n, 256, 0, 1, 1];
+        // The inverse words are shape-checked and otherwise ignored.
+        snap.floats
+            .extend(std::iter::repeat(0.5).take((p * p) as usize));
+        assert_guard_rolls_back_after_restore(&snap, &registry, &stats);
+    }
+
+    /// Trains a few labels, then activates a bad model and scores one
+    /// label against it — short of the guard window — and snapshots.
+    fn armed_guard_snapshot(registry: &ModelRegistry, stats: &ServerStats) -> TrainingSnapshot {
         let trainer = Trainer::new(fast_config());
         for i in 0..8 {
             let (sample, power) = labeled(i, 0.0);
             trainer
-                .train(&registry, &stats, CORES, &sample, power)
+                .train(registry, stats, CORES, &sample, power)
                 .unwrap();
         }
         // A bad activation arms the guard, which scores one label —
@@ -1018,20 +1044,30 @@ mod tests {
             .unwrap();
         let (sample, power) = labeled(8, 0.0);
         trainer
-            .train(&registry, &stats, CORES, &sample, power)
+            .train(registry, stats, CORES, &sample, power)
             .unwrap();
         let snap = trainer.snapshot().unwrap();
         assert!(snap.guard.is_some(), "armed guard must ride the snapshot");
+        snap
+    }
 
+    /// The restored trainer finishes the guard's watch and rolls back
+    /// within the remaining guard window.
+    fn assert_guard_rolls_back_after_restore(
+        snap: &TrainingSnapshot,
+        registry: &ModelRegistry,
+        stats: &ServerStats,
+    ) {
         let resumed = Trainer::new(fast_config());
         resumed
-            .restore(&snap, registry.active().as_ref().map(|a| &a.model))
+            .restore(snap, registry.active().as_ref().map(|a| &a.model))
             .unwrap();
+        assert_eq!(resumed.snapshot().unwrap().guard, snap.guard);
         let mut rolled_back = false;
         for i in 9..9 + fast_config().guard_window {
             let (sample, power) = labeled(i, 0.0);
             let resp = resumed
-                .train(&registry, &stats, CORES, &sample, power)
+                .train(registry, stats, CORES, &sample, power)
                 .unwrap();
             if resp.field("rolled_back").unwrap().as_bool().unwrap() {
                 // The rollback-triggering label never entered the

@@ -6,14 +6,16 @@
 //! only a real process death can: `kill -9` leaves no drain, so the
 //! survival of the durable windows rests entirely on the last
 //! explicit/periodic checkpoint and on the restore path of a freshly
-//! exec'd server. Also proves the boot-time quarantine report a torn
-//! checkpoint produces on stderr.
+//! exec'd server. Also proves the boot-time reports on stderr: the
+//! quarantine of a torn checkpoint, and a dropped training section.
 
 use pmc_events::PapiEvent;
 use pmc_model::dataset::{Dataset, SampleRow};
 use pmc_model::model::PowerModel;
+use pmc_serve::checkpoint::{encode_checkpoint, CheckpointData};
 use pmc_serve::registry::ModelRegistry;
 use pmc_serve::server::{PowerServer, ServerConfig};
+use pmc_serve::trainer::TrainingSnapshot;
 use pmc_serve::{CounterSample, ModelArtifact, PowerClient};
 use std::io::{BufRead, BufReader};
 use std::path::Path;
@@ -252,5 +254,50 @@ fn torn_checkpoint_on_disk_is_reported_and_never_blocks_boot() {
         "not a checkpoint: {fresh:?}"
     );
     assert_ne!(fresh, b"PMCCKPT1 deadbeef\n{\"clients\":[{\"trunc".to_vec());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A training section whose fit width was tampered with (the CRC is
+/// recomputable, so it verifies) is dropped — training and any armed
+/// activation guard restart cold — and the boot says so instead of
+/// silently discarding it.
+#[test]
+fn training_section_dropped_at_boot_is_reported() {
+    let dir = std::env::temp_dir().join(format!("pmc-proc-train-drop-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let model_path = dir.join("model.json");
+    let ck_path = dir.join("engine.ckpt");
+    std::fs::write(
+        &model_path,
+        ModelArtifact::new("hsw", tiny_model()).to_json().unwrap(),
+    )
+    .unwrap();
+    let training = TrainingSnapshot {
+        words: vec![u64::MAX, 30],
+        floats: vec![0.0; 8],
+        events: vec![],
+        base: None,
+        accepted: 30,
+        active_apes: vec![],
+        shadow_apes: vec![],
+        guard: None,
+    };
+    let data = CheckpointData {
+        training: Some(training),
+        ..CheckpointData::default()
+    };
+    std::fs::write(&ck_path, encode_checkpoint(&data)).unwrap();
+
+    let proc1 = spawn_serve(&model_path, &ck_path);
+    let stderr = proc1.shutdown_clean();
+    assert!(
+        stderr.contains("checkpoint restored: 0 client window(s) warm"),
+        "stderr: {stderr}"
+    );
+    let line = stderr
+        .lines()
+        .find(|l| l.starts_with("checkpoint training section dropped ("))
+        .unwrap_or_else(|| panic!("boot must report the dropped section: {stderr}"));
+    assert!(line.contains("malformed serialized fit state"), "{line}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,9 +5,9 @@
 //! * [`ols`] — ordinary least squares with classical **and**
 //!   heteroscedasticity-consistent covariance estimators (HC0–HC3; the
 //!   paper uses HC3, following Walker et al. and Long & Ervin 2000),
-//! * [`online`] — streaming OLS over exact sufficient statistics with
-//!   rank-1 Sherman–Morrison inverse maintenance and a full-refit
-//!   conditioning fallback (the serving tier's online-learning loop),
+//! * [`online`] — streaming OLS over exact sufficient statistics,
+//!   solved through a fresh Cholesky factor of `XᵀX` after every
+//!   observation (the serving tier's online-learning loop),
 //! * [`vif`] — Variance Inflation Factors, the multicollinearity
 //!   diagnostic that gates counter selection (VIF > 10 ⇒ unstable model),
 //! * [`descriptive`] — means/variances and the Pearson correlation
@@ -19,8 +19,9 @@
 //!   heteroscedasticity test, Durbin–Watson).
 //!
 //! Everything is deterministic given an RNG seed, pure CPU, and built on
-//! the workspace's own [`pmc_linalg`] kernels (QR for the fit, Cholesky
-//! for SPD inverses in the covariance sandwiches).
+//! the workspace's own [`pmc_linalg`] kernels (QR for the offline fit,
+//! Cholesky for the streaming fit and for SPD inverses in the
+//! covariance sandwiches).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
